@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet analyze staticcheck govulncheck lint fmt-check docs-lint loadtest bench bench-smoke bench-scc bench-frozen bench-sharded bench-json bench-json-smoke bench-diff bench-maint bench-maint-smoke bench-wal bench-wal-smoke fuzz-smoke cover ci
+.PHONY: build test race vet analyze staticcheck govulncheck lint fmt-check docs-lint loadtest bench bench-smoke bench-scc bench-frozen bench-sharded bench-json bench-json-smoke bench-diff bench-maint bench-maint-smoke bench-wal bench-wal-smoke perfbench-smoke fuzz-smoke cover ci
 
 build:
 	$(GO) build ./...
@@ -251,6 +251,13 @@ bench-wal-smoke:
 		-data-dir $$(mktemp -d) -wal-sync 5ms -json .bench-wal.json
 	@rm -f .bench-wal.json
 
+# Serving-benchmark smoke: perfbench (its own module) runs every
+# workload in --smoke mode against a freshly built gvserve, including
+# the /query == /match == gv.Match answer gate, so the response encoder
+# is checked end to end over HTTP. See perfbench/README.md.
+perfbench-smoke:
+	cd perfbench && $(GO) test ./...
+
 # Run each native fuzz target briefly (the CI smoke; seed corpora under
 # testdata/fuzz always run as plain tests via `make test`).
 FUZZTIME ?= 15s
@@ -265,4 +272,4 @@ cover:
 	$(GO) test -coverprofile=coverage.out ./...
 	$(GO) tool cover -func=coverage.out | tail -n 1
 
-ci: build vet analyze fmt-check docs-lint race bench-smoke lint
+ci: build vet analyze fmt-check docs-lint race bench-smoke perfbench-smoke lint

@@ -35,22 +35,40 @@ func (w *statusWriter) Write(b []byte) (int, error) {
 	return w.ResponseWriter.Write(b)
 }
 
+// servedEpochKey keys the request-context slot in which a handler
+// records the snapshot epoch it served (noteEpoch).
+type servedEpochKey struct{}
+
+// noteEpoch records, for the access log, the epoch of the snapshot the
+// handler loaded. A no-op when access logging is off.
+func noteEpoch(r *http.Request, epoch uint64) {
+	if p, ok := r.Context().Value(servedEpochKey{}).(*uint64); ok {
+		*p = epoch
+	}
+}
+
 // withLogging writes one access-log line per request: method, route,
-// status, latency and the snapshot epoch the request was (or would have
-// been) served from. A nil logger disables logging.
+// status, latency and a snapshot epoch — the one the handler served
+// from when it called noteEpoch (a publish during the request does not
+// relabel it), else epoch() read after the handler returns. A nil
+// logger disables logging.
 func withLogging(h http.Handler, logger *log.Logger, epoch func() uint64) http.Handler {
 	if logger == nil {
 		return h
 	}
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		sw := &statusWriter{ResponseWriter: w}
+		var served uint64 // epochs start at 1, so 0 means "not noted"
 		start := time.Now()
-		h.ServeHTTP(sw, r)
+		h.ServeHTTP(sw, r.WithContext(context.WithValue(r.Context(), servedEpochKey{}, &served)))
 		code := sw.code
 		if code == 0 {
 			code = http.StatusOK
 		}
-		logger.Printf("%s %s %d %s epoch=%d", r.Method, r.URL.Path, code, time.Since(start).Round(time.Microsecond), epoch())
+		if served == 0 {
+			served = epoch()
+		}
+		logger.Printf("%s %s %d %s epoch=%d", r.Method, r.URL.Path, code, time.Since(start).Round(time.Microsecond), served)
 	})
 }
 

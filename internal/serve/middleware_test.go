@@ -1,8 +1,13 @@
 package serve
 
 import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"log"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -132,5 +137,52 @@ func TestStatusClass(t *testing.T) {
 		if got := statusClass(code); got != want {
 			t.Errorf("statusClass(%d) = %d, want %d", code, got, want)
 		}
+	}
+}
+
+// publishOnWrite publishes a fresh snapshot as the handler starts
+// writing its response — after the handler loaded its snapshot and
+// before the access-log line is written.
+type publishOnWrite struct {
+	*httptest.ResponseRecorder
+	s *Server
+}
+
+func (p *publishOnWrite) Write(b []byte) (int, error) {
+	p.s.Publish()
+	return p.ResponseRecorder.Write(b)
+}
+
+// TestAccessLogServedEpoch: /query and /match log the epoch they served
+// even when a publish lands mid-request; a route that loads no snapshot
+// (/publish) logs the epoch live when it finishes.
+func TestAccessLogServedEpoch(t *testing.T) {
+	var logBuf bytes.Buffer
+	s, _, q := newTestServer(t, Config{Logger: log.New(&logBuf, "", 0)})
+	h := s.Handler()
+	lastLine := func() string {
+		lines := strings.Split(strings.TrimSpace(logBuf.String()), "\n")
+		return lines[len(lines)-1]
+	}
+	for _, route := range []string{"/query", "/match"} {
+		served := s.Current().Epoch
+		w := &publishOnWrite{ResponseRecorder: httptest.NewRecorder(), s: s}
+		h.ServeHTTP(w, httptest.NewRequest(http.MethodPost, route, strings.NewReader(q)))
+		var qr queryResponse
+		if err := json.Unmarshal(w.Body.Bytes(), &qr); err != nil {
+			t.Fatalf("%s: %v", route, err)
+		}
+		if qr.Epoch != served || s.Current().Epoch != served+1 {
+			t.Fatalf("%s: served epoch %d, live %d; want %d then %d", route, qr.Epoch, s.Current().Epoch, served, served+1)
+		}
+		line := lastLine()
+		if !strings.HasPrefix(line, "POST "+route+" 200 ") || !strings.HasSuffix(line, fmt.Sprintf(" epoch=%d", served)) {
+			t.Fatalf("%s access log %q, want the served epoch %d", route, line, served)
+		}
+	}
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/publish", nil))
+	if want := fmt.Sprintf(" epoch=%d", s.Current().Epoch); !strings.HasSuffix(lastLine(), want) {
+		t.Fatalf("/publish access log %q, want suffix %q", lastLine(), want)
 	}
 }

@@ -7,11 +7,13 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -22,6 +24,12 @@ import (
 // newDurableServer opens a store over dir and builds a server on it.
 func newDurableServer(t *testing.T, dir string, cfg Config) (*Server, *store.Store, string) {
 	t.Helper()
+	return newDurableServerOn(t, dir, cfg, testWorkload)
+}
+
+// newDurableServerOn is newDurableServer over a chosen seed workload.
+func newDurableServerOn(t *testing.T, dir string, cfg Config, workload func(*testing.T) (*gv.Graph, *gv.ViewSet, string)) (*Server, *store.Store, string) {
+	t.Helper()
 	st, err := store.Open(dir, store.Options{})
 	if err != nil {
 		t.Fatal(err)
@@ -29,7 +37,7 @@ func newDurableServer(t *testing.T, dir string, cfg Config) (*Server, *store.Sto
 	t.Cleanup(func() { st.Close() })
 	// A checkpoint from a previous boot replaces the seed workload graph
 	// — the same thawing cmd/gvserve does.
-	g, vs, q := testWorkload(t)
+	g, vs, q := workload(t)
 	if base := st.Base(); base != nil {
 		switch b := base.(type) {
 		case *gv.Frozen:
@@ -160,6 +168,80 @@ func TestRecoveringGate(t *testing.T) {
 		}
 	}
 	postQuery(t, hs2.URL+"/query", q, http.StatusOK)
+}
+
+// wideWorkload is testWorkload's A→B shape at a size where freezing a
+// snapshot takes measurable time: n A nodes, n B nodes, 4n A→B edges.
+func wideWorkload(t *testing.T) (*gv.Graph, *gv.ViewSet, string) {
+	t.Helper()
+	const n = 20000
+	g := gv.NewGraph()
+	for i := 0; i < n; i++ {
+		g.AddNode("A")
+	}
+	for i := 0; i < n; i++ {
+		g.AddNode("B")
+	}
+	for i := 0; i < n; i++ {
+		for k := 0; k < 4; k++ {
+			g.AddEdge(gv.NodeID(i), gv.NodeID(n+(i*7+k*13)%n))
+		}
+	}
+	_, vs, q := testWorkload(t)
+	return g, vs, q
+}
+
+// TestReadyOnlyAfterRecoveredPublish: the moment /healthz first reports
+// 200 after a restart, /snapshot already shows the replayed write clock
+// with nothing pending and the WAL is compacted — readiness is never
+// announced while queries would still be served the pre-restart epoch.
+// A poller races Recover on its own P; the replay, publish and
+// checkpoint of the wide workload leave it time to observe every state.
+func TestReadyOnlyAfterRecoveredPublish(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(max(4, runtime.GOMAXPROCS(0))))
+	const n, acked = 20000, 64
+	dir := t.TempDir()
+	s1, _, _ := newDurableServerOn(t, dir, Config{}, wideWorkload)
+	hs1 := httptest.NewServer(s1.Handler())
+	// Acked, never published: new A→B edges (offset 5 is never one of
+	// the seed offsets 0, 13, 26, 39), each an effective update.
+	var body strings.Builder
+	for i := 0; i < acked; i++ {
+		fmt.Fprintf(&body, "add %d %d\n", i, n+(i*7+5)%n)
+	}
+	if code := postUpdate(t, hs1.URL, body.String()); code != http.StatusOK {
+		t.Fatalf("update status %d", code)
+	}
+	hs1.Close() // crash
+
+	s2, st2, _ := newDurableServerOn(t, dir, Config{}, wideWorkload)
+	if !s2.Recovering() {
+		t.Fatal("restart with a WAL tail did not boot recovering")
+	}
+	h := s2.Handler()
+	get := func(path string) *httptest.ResponseRecorder {
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		return rec
+	}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		s2.Recover()
+	}()
+	polls := 0
+	for ; get("/healthz").Code != http.StatusOK; polls++ {
+	}
+	walBytes := st2.WALSize()
+	var snap snapshotJSON
+	if err := json.Unmarshal(get("/snapshot").Body.Bytes(), &snap); err != nil {
+		t.Fatal(err)
+	}
+	<-done
+	if snap.Pending != 0 || snap.Version != acked || walBytes != 0 {
+		t.Fatalf("first ready /healthz (after %d not-ready polls): /snapshot version %d pending %d, WAL %d bytes; want version %d, pending 0, compacted WAL",
+			polls, snap.Version, snap.Pending, walBytes, acked)
+	}
 }
 
 // TestUpdateAckContract: when the WAL cannot accept the append, /update

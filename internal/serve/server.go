@@ -316,19 +316,22 @@ func (s *Server) publishLocked() *Snapshot {
 	s.metrics.snapshotSize.Store(int64(frozen.Size()))
 	s.metrics.publishes.Add(1)
 	s.metrics.publishNs.Add(int64(time.Since(start)))
-	s.checkpointLocked(snap)
+	// While recovering the WAL tail is still the source of truth;
+	// Recover checkpoints the fully replayed state itself.
+	if !s.recovering.Load() {
+		s.checkpointLocked(snap)
+	}
 	return snap
 }
 
 // checkpointLocked writes the just-published snapshot into the durable
 // store, compacting the WAL: every logged record is reflected in the
-// snapshot because publishLocked flushes the feed first. Skipped while
-// recovering (the WAL tail is still the source of truth) and when the
-// server runs ephemeral. A checkpoint failure is logged and counted but
-// never fatal — the previous checkpoint plus the full WAL still recover
-// this state.
+// snapshot because publishLocked flushes the feed first. A no-op when
+// the server runs ephemeral. A checkpoint failure is logged and counted
+// but never fatal — the previous checkpoint plus the full WAL still
+// recover this state.
 func (s *Server) checkpointLocked(snap *Snapshot) {
-	if s.store == nil || s.recovering.Load() {
+	if s.store == nil {
 		return
 	}
 	start := time.Now()
@@ -348,8 +351,10 @@ func (s *Server) checkpointLocked(snap *Snapshot) {
 }
 
 // Recover replays the store's WAL tail through the coalescing feed and
-// delta propagation into the maintained views, then publishes (and
-// checkpoints) the recovered state and opens the application routes.
+// delta propagation into the maintained views, then publishes and
+// checkpoints the recovered state, and only then opens the application
+// routes: once /healthz reports ready, every route serves the replayed
+// epoch and the WAL is compacted.
 // It returns the number of WAL records and edge updates replayed.
 // No-op unless the server booted recovering. Updates whose node ids are
 // out of range for the loaded graph — a WAL paired with the wrong
@@ -381,11 +386,11 @@ func (s *Server) Recover() (records, updates int) {
 	s.metrics.recoveryUpdates.Store(int64(updates))
 	s.metrics.recoveryDropped.Store(int64(dropped))
 	s.metrics.recoveryNs.Store(int64(time.Since(start)))
+	s.mu.Lock()
+	s.checkpointLocked(s.publishLocked())
 	s.recovering.Store(false)
 	s.metrics.recoveryState.Store(0)
-	// First post-recovery publish: queries see the recovered state and
-	// the checkpoint absorbs the replayed tail, compacting the WAL.
-	s.Publish()
+	s.mu.Unlock()
 	return records, updates
 }
 
@@ -522,6 +527,8 @@ func (s *Server) withReady(h http.Handler) http.Handler {
 }
 
 // instrument wraps a route in the logging and metrics middleware.
+// Routes that note the epoch they served (noteEpoch) are logged with
+// it; the rest with the epoch live when they finish.
 func (s *Server) instrument(route string, h http.Handler) http.Handler {
 	return withLogging(withMetrics(h, s.metrics, route), s.cfg.Logger, func() uint64 {
 		return s.cur.Load().Epoch
@@ -530,24 +537,6 @@ func (s *Server) instrument(route string, h http.Handler) http.Handler {
 
 // maxBodyBytes bounds request bodies (patterns and update batches).
 const maxBodyBytes = 1 << 20
-
-// queryResponse is the JSON shape of /query and /match results.
-type queryResponse struct {
-	Epoch     uint64     `json:"epoch"`
-	Pattern   string     `json:"pattern"`
-	Matched   bool       `json:"matched"`
-	Size      int        `json:"size"`
-	ViewsUsed []string   `json:"views_used,omitempty"`
-	ElapsedUs int64      `json:"elapsed_us"`
-	Edges     []edgeJSON `json:"edges,omitempty"`
-}
-
-// edgeJSON is one pattern edge's match set (emitted with ?pairs=1).
-type edgeJSON struct {
-	From  string     `json:"from"`
-	To    string     `json:"to"`
-	Pairs [][2]int64 `json:"pairs"`
-}
 
 // handleQuery answers a pattern query from the live snapshot's
 // materialized extensions only (the paper's MatchJoin/Answer), guided
@@ -562,25 +551,24 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	limit, ok := parsePairLimit(w, r)
+	if !ok {
+		return
+	}
 	snap := s.cur.Load()
+	noteEpoch(r, snap.Epoch)
 	start := time.Now()
 	res, used, _, err := s.eng.WithRequest(r.Context()).Answer(q, snap.Exts, strategy)
 	if err != nil {
 		s.queryError(w, r, err)
 		return
 	}
-	resp := &queryResponse{
-		Epoch:     snap.Epoch,
-		Pattern:   q.Name,
-		Matched:   res.Matched,
-		Size:      res.Size(),
-		ElapsedUs: time.Since(start).Microseconds(),
-	}
+	elapsed := time.Since(start).Microseconds()
+	var views []string
 	for _, i := range used {
-		resp.ViewsUsed = append(resp.ViewsUsed, snap.Exts.Set.Defs[i].Name)
+		views = append(views, snap.Exts.Set.Defs[i].Name)
 	}
-	attachPairs(resp, res, r)
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, snap.Epoch, res, views, elapsed, limit)
 }
 
 // handleMatch evaluates a pattern directly over the snapshot graph
@@ -593,7 +581,12 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
+	limit, ok := parsePairLimit(w, r)
+	if !ok {
+		return
+	}
 	snap := s.cur.Load()
+	noteEpoch(r, snap.Epoch)
 	start := time.Now()
 	var res *gv.Result
 	switch mode := r.URL.Query().Get("mode"); mode {
@@ -607,15 +600,7 @@ func (s *Server) handleMatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, fmt.Sprintf("unknown mode %q (want sim, dual or strong)", mode))
 		return
 	}
-	resp := &queryResponse{
-		Epoch:     snap.Epoch,
-		Pattern:   q.Name,
-		Matched:   res.Matched,
-		Size:      res.Size(),
-		ElapsedUs: time.Since(start).Microseconds(),
-	}
-	attachPairs(resp, res, r)
-	writeJSON(w, http.StatusOK, resp)
+	writeAnswer(w, snap.Epoch, res, nil, time.Since(start).Microseconds(), limit)
 }
 
 // updateResponse is the JSON shape of /update and /publish results.
@@ -799,34 +784,26 @@ func (s *Server) queryError(w http.ResponseWriter, r *http.Request, err error) {
 	}
 }
 
-// attachPairs adds per-edge match pairs to a response when ?pairs=1,
-// truncated to ?limit= pairs per edge (default 100, 0 = unlimited).
-func attachPairs(resp *queryResponse, res *gv.Result, r *http.Request) {
-	if r.URL.Query().Get("pairs") != "1" || !res.Matched {
-		return
-	}
+// parsePairLimit resolves ?pairs= and ?limit= before any evaluation runs,
+// writing the error response itself when it returns ok=false. The limit
+// is noPairs unless ?pairs=1; otherwise ?limit= pairs per edge (default
+// 100, 0 = unlimited). A malformed or negative ?limit= is a 400 whether
+// or not pairs were requested.
+func parsePairLimit(w http.ResponseWriter, r *http.Request) (int, bool) {
+	params := r.URL.Query()
 	limit := 100
-	if v := r.URL.Query().Get("limit"); v != "" {
-		if n, err := strconv.Atoi(v); err == nil && n >= 0 {
-			limit = n
+	if v := params.Get("limit"); v != "" {
+		n, err := strconv.Atoi(v)
+		if err != nil || n < 0 {
+			writeError(w, http.StatusBadRequest, fmt.Sprintf("bad limit %q (want a non-negative integer, 0 = unlimited)", v))
+			return 0, false
 		}
+		limit = n
 	}
-	for i, e := range res.Pattern.Edges {
-		em := &res.Edges[i]
-		n := len(em.Pairs)
-		if limit > 0 && n > limit {
-			n = limit
-		}
-		ej := edgeJSON{
-			From:  res.Pattern.Nodes[e.From].Name,
-			To:    res.Pattern.Nodes[e.To].Name,
-			Pairs: make([][2]int64, n),
-		}
-		for j := 0; j < n; j++ {
-			ej.Pairs[j] = [2]int64{int64(em.Pairs[j].Src), int64(em.Pairs[j].Dst)}
-		}
-		resp.Edges = append(resp.Edges, ej)
+	if params.Get("pairs") != "1" {
+		return noPairs, true
 	}
+	return limit, true
 }
 
 // parseUpdates parses the /update body: one `add <u> <v>` or
@@ -871,7 +848,8 @@ func parseUpdates(r io.Reader, numNodes int) ([]gv.EdgeUpdate, error) {
 	return updates, nil
 }
 
-// writeJSON writes a JSON response body.
+// writeJSON writes a JSON response body. /query and /match answers go
+// through writeAnswer instead.
 func writeJSON(w http.ResponseWriter, code int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)

@@ -274,6 +274,23 @@ func TestQueryErrors(t *testing.T) {
 	postQuery(t, hs.URL+"/query", "pattern Q {\n node c: C\n node b: B\n edge c -> b\n}", http.StatusUnprocessableEntity)
 	// Bad strategy.
 	postQuery(t, hs.URL+"/query?strategy=fastest", "pattern Q {\n node a: A\n node b: B\n edge a -> b\n}", http.StatusBadRequest)
+	// Malformed or negative ?limit= is a 400 with a message, decided
+	// before evaluation: a query the views cannot answer (which would be
+	// a 422 from Answer) still gets the 400.
+	notContained := "pattern Q {\n node c: C\n node b: B\n edge c -> b\n}"
+	for _, route := range []string{"/query", "/match"} {
+		for _, params := range []string{"?pairs=1&limit=abc", "?pairs=1&limit=-5", "?limit=abc"} {
+			resp, err := http.Post(hs.URL+route+params, "text/plain", strings.NewReader(notContained))
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := readAll(t, resp)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(body, "bad limit") {
+				t.Fatalf("%s%s = %d %q, want 400 bad limit", route, params, resp.StatusCode, body)
+			}
+		}
+	}
 	// GET is not a query.
 	resp, err := http.Get(hs.URL + "/query")
 	if err != nil {
