@@ -198,8 +198,8 @@ bench-json-smoke:
 	@rm -f .bench-json.tmp
 
 # Durability benchmark: WAL append ns/record per sync policy, crash
-# recovery (decode + delta replay) per 100k records and the snapshot
-# codec, recorded into $(WAL_JSON) via benchjson; then two gvload
+# recovery (decode + delta replay) per 100k records and the checkpoint
+# cost, recorded into $(WAL_JSON) via benchjson; then two gvload
 # sweeps. The first runs ephemeral (no -data-dir) under the same
 # ServeQuery series names as earlier trajectories — the control the
 # final diff gates against $(WAL_BASE), proving the store subsystem
@@ -216,7 +216,7 @@ WAL_BASE ?= BENCH_PR9.json
 WAL_DURATION ?= 10s
 bench-wal:
 	@rm -f .bench-wal.tmp
-	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay|RecoveryExtensions|SnapshotSave|SnapshotLoad|StoreCheckpoint' -benchtime 300ms -count 2 -benchmem ./internal/store >> .bench-wal.tmp
+	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay|RecoveryExtensions|StoreCheckpoint' -benchtime 300ms -count 2 -benchmem ./internal/store >> .bench-wal.tmp
 	@cat .bench-wal.tmp
 	$(GO) run ./cmd/benchjson -out $(WAL_JSON) < .bench-wal.tmp
 	@rm -f .bench-wal.tmp
@@ -234,18 +234,16 @@ bench-wal:
 	# The gate protects the read path and the live WAL/recovery path.
 	# -skip exempts the informational series: ServeQueryDurable was
 	# recorded without a baseline by design (and now carries the
-	# extension-persistence work per checkpoint), and SnapshotSave/Load
-	# measure the legacy single-file GVSNAP01 codec, which after the
-	# manifest layout only runs during migration.
+	# extension-persistence work per checkpoint).
 	$(GO) run ./cmd/benchjson -diff -threshold 0.20 \
-		-skip 'ServeQueryDurable|SnapshotSave|SnapshotLoad' \
+		-skip 'ServeQueryDurable' \
 		$(WAL_BASE) $(WAL_JSON)
 
 # CI-sized durability smoke: the store micro-benches one iteration each
 # plus one short durable gvload run into a scratch trajectory.
 bench-wal-smoke:
 	@rm -f .bench-wal.json
-	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay|SnapshotSave|SnapshotLoad' -benchtime 1x ./internal/store
+	$(GO) test -run 'BenchmarkNone' -bench 'WALAppend|RecoveryReplay' -benchtime 1x ./internal/store
 	$(GO) run ./cmd/gvload -self -dataset youtube -nodes 5000 -edges 20000 \
 		-qps 100 -duration 2s -write-mix 0.1 -write-batch 4 \
 		-data-dir $$(mktemp -d) -wal-sync 5ms -json .bench-wal.json
@@ -266,6 +264,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzEquivalentPreds$$' -fuzztime $(FUZZTIME) ./internal/pattern
 	$(GO) test -run '^$$' -fuzz '^FuzzWALReplay$$' -fuzztime $(FUZZTIME) ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotManifest$$' -fuzztime $(FUZZTIME) ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzParsePattern$$' -fuzztime $(FUZZTIME) ./internal/pattern
+	$(GO) test -run '^$$' -fuzz '^FuzzParseUpdates$$' -fuzztime $(FUZZTIME) ./internal/serve
 
 # Coverage profile + function summary (CI uploads coverage.out).
 cover:

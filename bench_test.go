@@ -10,6 +10,7 @@ package graphviews_test
 // scales.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -63,7 +64,7 @@ func microWorkload() (*gv.Graph, *gv.ViewSet, *view.Extensions, *gv.Pattern, *co
 	x := gv.Materialize(g, vs)
 	rng := rand.New(rand.NewSource(2))
 	q := gv.GlueQuery(rng, vs, 5, 7)
-	l, ok, err := core.Contain(q, vs)
+	l, ok, err := core.Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		panic("micro workload query not contained")
 	}
@@ -75,7 +76,7 @@ func BenchmarkMatchSimulation(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.Simulate(g, q)
+		simulation.Simulate(context.Background(), g, q, 1)
 	}
 }
 
@@ -87,7 +88,7 @@ func BenchmarkMatchBounded(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		simulation.SimulateBounded(g, q)
+		simulation.SimulateBounded(context.Background(), g, q, 1)
 	}
 }
 
@@ -105,7 +106,7 @@ func BenchmarkContain(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, ok, err := core.Contain(q, vs); err != nil || !ok {
+		if _, ok, err := core.Contain(context.Background(), q, vs, 1); err != nil || !ok {
 			b.Fatal("containment lost")
 		}
 	}
@@ -134,7 +135,7 @@ func BenchmarkMatchJoin(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		core.MatchJoin(q, x, l)
+		core.MatchJoin(context.Background(), q, x, l, 1)
 	}
 }
 
@@ -227,7 +228,7 @@ func BenchmarkMatchJoinSCCParallel(b *testing.B) {
 		rng := rand.New(rand.NewSource(int64(100 + k)))
 		q, vs := gv.NecklaceQuery(rng, k, 1)
 		g := gv.NecklaceGraph(rng, q, 60_000, 340_000)
-		l, ok, err := core.Contain(q, vs)
+		l, ok, err := core.Contain(context.Background(), q, vs, 1)
 		if err != nil || !ok {
 			b.Fatalf("necklace workload not contained: %v %v", ok, err)
 		}

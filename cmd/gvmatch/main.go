@@ -12,6 +12,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -93,7 +94,7 @@ func main() {
 			fail("unknown strategy %q", *strategy)
 		}
 		var used []int
-		res, used, err = core.Answer(q, x, strat)
+		res, used, _, err = core.Answer(context.Background(), q, x, strat, 1)
 		if err != nil {
 			fail("%v", err)
 		}
@@ -121,9 +122,9 @@ func main() {
 		}
 		switch *engine {
 		case "sim":
-			res = simulation.Simulate(r, q)
+			res = simulation.Simulate(context.Background(), r, q, 1)
 		case "dual":
-			res = simulation.SimulateDual(r, q)
+			res = simulation.SimulateDual(context.Background(), r, q, 1)
 		case "strong":
 			res = simulation.SimulateStrong(r, q)
 		default:

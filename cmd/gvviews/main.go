@@ -6,6 +6,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -67,7 +68,7 @@ func main() {
 	if *shards > 1 {
 		r = graph.Shard(r, *shards)
 	}
-	x := view.Materialize(r, vs)
+	x, _ := view.Materialize(context.Background(), r, vs, 1)
 
 	w := os.Stdout
 	if *out != "" {

@@ -1,10 +1,10 @@
 package graphviews_test
 
 // Facade-level differential harness for the PR 4 dense kernels and
-// scratch pools: one long-lived Engine answering many queries over its
-// warmed per-engine scratch pools must return results byte-identical to
-// the package-level sequential entry points (which run the same dense
-// kernels on transient scratches) at workers 1/2/4/8, on plain, bounded
+// scratch pools: one long-lived Engine answering many queries over the
+// warmed scratch pools must return results byte-identical to the
+// package-level sequential entry points (which run the same dense
+// kernels with one worker) at workers 1/2/4/8, on plain, bounded
 // and dual workloads — and identically on the mutable and frozen
 // backends. Catches any state leaking between queries through the
 // pooled arenas.

@@ -19,7 +19,6 @@ import (
 	"runtime"
 
 	"graphviews/internal/core"
-	"graphviews/internal/simulation"
 	"graphviews/internal/view"
 )
 
@@ -27,19 +26,16 @@ import (
 // configurable worker pool and cancellation context. The zero value is
 // not usable; call NewEngine.
 //
-// Each engine owns two scratch pools (simulation and MatchJoin working
-// state): repeated Materialize/MatchJoin/Answer calls reuse bitset rows,
+// Repeated Materialize/MatchJoin/Answer calls reuse bitset rows,
 // support-counter arrays and worklists from per-query bump arenas
-// instead of reallocating O(|V|·|Q|) state per call, which is what keeps
-// the steady-state serving path nearly allocation-free. Pools are
-// sync.Pool-backed, so concurrent use of one engine stays safe and
-// scratches are dropped under memory pressure.
+// (the engine packages' sync.Pool-backed scratch pools) instead of
+// reallocating O(|V|·|Q|) state per call, which is what keeps the
+// steady-state serving path nearly allocation-free. Concurrent use stays
+// safe, and pooled scratches are dropped under memory pressure.
 type Engine struct {
 	parallelism int
 	shards      int
 	ctx         context.Context
-	simScratch  *simulation.ScratchPool
-	mjScratch   *core.ScratchPool
 }
 
 // Option configures an Engine.
@@ -92,8 +88,6 @@ func NewEngine(opts ...Option) *Engine {
 		parallelism: runtime.GOMAXPROCS(0),
 		shards:      1,
 		ctx:         context.Background(),
-		simScratch:  simulation.NewScratchPool(),
-		mjScratch:   core.NewScratchPool(),
 	}
 	for _, o := range opts {
 		o(e)
@@ -163,13 +157,11 @@ func (e *Engine) Snapshot(g GraphReader) (GraphReader, error) {
 }
 
 // WithRequest returns a request-scoped handle on the engine: a shallow
-// copy sharing the warmed scratch pools, worker bound and shard
-// configuration, with ctx attached in place of the engine's own. It is
-// how a long-lived serving engine gives each request its own
-// timeout/cancellation without rebuilding (and re-warming) the
-// sync.Pool-backed scratches: the handle is as cheap as a struct copy,
-// and any number of handles may run concurrently. A nil ctx means
-// context.Background().
+// copy sharing the worker bound and shard configuration, with ctx
+// attached in place of the engine's own. It is how a long-lived serving
+// engine gives each request its own timeout/cancellation: the handle is
+// as cheap as a struct copy, and any number of handles may run
+// concurrently. A nil ctx means context.Background().
 func (e *Engine) WithRequest(ctx context.Context) *Engine {
 	if ctx == nil {
 		ctx = context.Background()
@@ -192,7 +184,7 @@ func (e *Engine) Materialize(g GraphReader, vs *ViewSet) (*Extensions, error) {
 	if err != nil {
 		return nil, err
 	}
-	return view.MaterializePooled(e.ctx, r, vs, e.parallelism, e.simScratch)
+	return view.Materialize(e.ctx, r, vs, e.parallelism)
 }
 
 // MaterializeDual is the dual-simulation counterpart of Materialize; it
@@ -202,19 +194,19 @@ func (e *Engine) MaterializeDual(g GraphReader, vs *ViewSet) (*Extensions, error
 	if err != nil {
 		return nil, err
 	}
-	return view.MaterializeDualPooled(e.ctx, r, vs, e.parallelism, e.simScratch)
+	return view.MaterializeDual(e.ctx, r, vs, e.parallelism)
 }
 
 // BuildDistIndex builds I(V) with per-extension partial indexes computed
 // concurrently and merged keeping minimum distances.
 func (e *Engine) BuildDistIndex(x *Extensions) (*DistIndex, error) {
-	return view.BuildDistIndexWith(e.ctx, x, e.parallelism)
+	return view.BuildDistIndex(e.ctx, x, e.parallelism)
 }
 
 // Contains decides Qs ⊑ V with the per-view matches computed
 // concurrently.
 func (e *Engine) Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) {
-	return core.ContainWith(e.ctx, q, vs, e.parallelism)
+	return core.Contain(e.ctx, q, vs, e.parallelism)
 }
 
 // MatchJoin evaluates q from extensions only: every query edge's match
@@ -224,7 +216,7 @@ func (e *Engine) Contains(q *Pattern, vs *ViewSet) (*Lambda, bool, error) {
 // cascade on its own worker. Results and Stats are byte-identical to the
 // package-level MatchJoin at every parallelism.
 func (e *Engine) MatchJoin(q *Pattern, x *Extensions, l *Lambda) (*Result, Stats, error) {
-	return core.MatchJoinPooled(e.ctx, q, x, l, e.parallelism, e.mjScratch)
+	return core.MatchJoin(e.ctx, q, x, l, e.parallelism)
 }
 
 // Answer computes Q(G) from materialized extensions only, like the
@@ -232,7 +224,7 @@ func (e *Engine) MatchJoin(q *Pattern, x *Extensions, l *Lambda) (*Result, Stats
 // the per-SCC MatchJoin fixpoint parallelized. The Stats expose the
 // MatchJoin work counters.
 func (e *Engine) Answer(q *Pattern, x *Extensions, s Strategy) (*Result, []int, Stats, error) {
-	return core.AnswerPooled(e.ctx, q, x, s, e.parallelism, e.mjScratch)
+	return core.Answer(e.ctx, q, x, s, e.parallelism)
 }
 
 // Maintain materializes vs over g through the engine's worker pool and
@@ -243,7 +235,7 @@ func (e *Engine) Answer(q *Pattern, x *Extensions, s Strategy) (*Result, []int, 
 // engine entry point that requires the mutable *Graph (it writes); it
 // never freezes, since a snapshot would immediately go stale.
 func (e *Engine) Maintain(g *Graph, vs *ViewSet) (*Maintained, error) {
-	return view.NewMaintainedWith(e.ctx, g, vs, e.parallelism)
+	return view.NewMaintained(e.ctx, g, vs, e.parallelism)
 }
 
 // MaintainFrom is Maintain with the initial materialization already in

@@ -12,7 +12,7 @@
 //   - calls to slice-returning methods on a type named Arena (the bump
 //     allocator in internal/arena);
 //   - slice-typed field reads and slice-returning method calls on a
-//     type named Scratch (the pooled per-engine working state) —
+//     type named Scratch (the pooled engine working state) —
 //     including re-slices like sc.pairBuf[:0] and append chains rooted
 //     in them (appending into a scratch buffer keeps using its backing
 //     array);

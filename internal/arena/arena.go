@@ -1,4 +1,4 @@
-// Package arena provides the bump allocator behind the per-engine
+// Package arena provides the bump allocator behind the pooled engine
 // scratch state. An Arena hands out zeroed sub-slices of one backing
 // block; Reset reclaims everything at once, so a pooled scratch reaches a
 // steady state where repeated queries allocate nothing — the working

@@ -7,10 +7,7 @@ import "sync"
 type Resettable interface{ Reset() }
 
 // Pool is a sync.Pool of scratch states shared by the engine packages:
-// Get hands out a freshly Reset scratch, Put returns it for reuse. A
-// nil *Pool is valid and degrades to transient per-call scratches, so
-// every engine entry point can be written against a pool while
-// non-pooled callers simply pass nil.
+// Get hands out a freshly Reset scratch, Put returns it for reuse.
 type Pool[T any, PT interface {
 	*T
 	Resettable
@@ -26,22 +23,15 @@ func NewPool[T any, PT interface {
 	return &Pool[T, PT]{p: sync.Pool{New: func() any { return PT(new(T)) }}}
 }
 
-// Get returns a Reset scratch (a fresh one when the pool is nil).
+// Get returns a Reset scratch.
 func (sp *Pool[T, PT]) Get() PT {
-	if sp == nil {
-		return PT(new(T))
-	}
 	sc := sp.p.Get().(PT)
 	sc.Reset()
 	return sc
 }
 
-// Put returns a scratch to the pool. No-op on a nil pool: the
-// transient scratch is simply garbage. The caller must not retain
+// Put returns a scratch to the pool. The caller must not retain
 // references into the scratch past Put.
 func (sp *Pool[T, PT]) Put(sc PT) {
-	if sp == nil {
-		return
-	}
 	sp.p.Put(sc)
 }

@@ -5,7 +5,7 @@
 // (64× less than map-backed sets), and whole-set operations (union,
 // intersection, difference, population count) run a word at a time. A
 // Matrix carries one row per pattern node over a single flat allocation,
-// which the per-engine scratch arenas recycle across queries.
+// which the pooled scratch arenas recycle across queries.
 package bitset
 
 import "math/bits"

@@ -32,29 +32,14 @@ var ErrNotContained = fmt.Errorf("core: query is not contained in the views")
 
 // Answer computes Q(G) from materialized extensions only. It returns
 // ErrNotContained when containment fails. The returned indices are the
-// views actually used.
-func Answer(q *pattern.Pattern, x *view.Extensions, s Strategy) (*simulation.Result, []int, error) {
-	res, idx, _, err := AnswerWith(context.Background(), q, x, s, 1)
-	return res, idx, err
-}
-
-// AnswerWith is Answer with intra-query parallelism: the containment
-// check's per-view matches (UseAll strategy), MatchJoin's per-edge
-// seeding and the per-SCC MatchJoin fixpoint waves all fan out over up
-// to workers goroutines, and the ctx is honored at every phase boundary.
-// The greedy Minimal/Minimum selections are order-dependent by
-// construction and stay sequential. Results are identical to Answer's at
-// every worker count; Stats are returned so engine callers can observe
-// the MatchJoin work counters.
-func AnswerWith(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s Strategy, workers int) (*simulation.Result, []int, Stats, error) {
-	return AnswerPooled(ctx, q, x, s, workers, nil)
-}
-
-// AnswerPooled is AnswerWith with the MatchJoin working state drawn from
-// pool (see ScratchPool); a nil pool uses a transient scratch. The
-// containment phase is unaffected — its working state is bounded by the
-// pattern sizes, not the graph.
-func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s Strategy, workers int, pool *ScratchPool) (*simulation.Result, []int, Stats, error) {
+// views actually used. The containment check's per-view matches (UseAll
+// strategy), MatchJoin's per-edge seeding and the per-SCC MatchJoin
+// fixpoint waves all fan out over up to workers goroutines, and ctx is
+// honored at every phase boundary. The greedy Minimal/Minimum selections
+// are order-dependent by construction and stay sequential. Results are
+// identical at every worker count; Stats are returned so engine callers
+// can observe the MatchJoin work counters.
+func Answer(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s Strategy, workers int) (*simulation.Result, []int, Stats, error) {
 	var (
 		idx []int
 		l   *Lambda
@@ -73,7 +58,7 @@ func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s
 	case UseMinimum:
 		idx, l, ok, err = Minimum(q, x.Set)
 	default:
-		l, ok, err = ContainWith(ctx, q, x.Set, workers)
+		l, ok, err = Contain(ctx, q, x.Set, workers)
 		if ok {
 			idx = make([]int, x.Set.Card())
 			for i := range idx {
@@ -87,7 +72,7 @@ func AnswerPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, s
 	if !ok {
 		return nil, nil, st, ErrNotContained
 	}
-	res, st, err := MatchJoinPooled(ctx, q, x, l, workers, pool)
+	res, st, err := MatchJoin(ctx, q, x, l, workers)
 	if err != nil {
 		return nil, nil, st, err
 	}

@@ -7,13 +7,15 @@ package core
 // algorithm names: Bcontain, Bminimal, Bminimum.
 
 import (
+	"context"
+
 	"graphviews/internal/pattern"
 	"graphviews/internal/view"
 )
 
 // BContain decides Qb ⊑ V for bounded pattern queries (Theorem 10(1)).
 func BContain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
-	return Contain(q, vs)
+	return Contain(context.Background(), q, vs, 1)
 }
 
 // BMinimal solves minimal bounded containment (Theorem 10(2)).

@@ -62,14 +62,9 @@ func allViewMatches(q *pattern.Pattern, vs *view.Set) []*ViewMatch {
 // Contain decides Qs ⊑ V (Theorem 3 / Proposition 7: Ep = ∪ M^Qs_V) and,
 // when it holds, returns the mapping λ over the full view set. It handles
 // both plain and bounded patterns (Bcontain of Section VI-B is the same
-// procedure with weighted view matches).
-func Contain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
-	return ContainWith(context.Background(), q, vs, 1)
-}
-
-// ContainWith is Contain with the per-view match computations fanned out
-// over up to workers goroutines.
-func ContainWith(ctx context.Context, q *pattern.Pattern, vs *view.Set, workers int) (*Lambda, bool, error) {
+// procedure with weighted view matches). The per-view match computations
+// fan out over up to workers goroutines.
+func Contain(ctx context.Context, q *pattern.Pattern, vs *view.Set, workers int) (*Lambda, bool, error) {
 	if err := validateForContainment(q, vs); err != nil {
 		return nil, false, err
 	}
@@ -236,6 +231,6 @@ func Minimum(q *pattern.Pattern, vs *view.Set) ([]int, *Lambda, bool, error) {
 // QueryContained decides classical query containment Qs1 ⊑ Qs2
 // (Corollary 4): the single-view special case of Contain.
 func QueryContained(q1, q2 *pattern.Pattern) (bool, error) {
-	_, ok, err := Contain(q1, view.NewSet(view.Define("", q2)))
+	_, ok, err := Contain(context.Background(), q1, view.NewSet(view.Define("", q2)), 1)
 	return ok, err
 }

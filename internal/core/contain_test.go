@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 
 	"graphviews/internal/pattern"
@@ -111,7 +112,7 @@ func TestExample5ViewMatches(t *testing.T) {
 func TestExample5Contain(t *testing.T) {
 	q := fig4Qs()
 	vs := fig4Views()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("Contain = %v, %v", ok, err)
 	}
@@ -121,7 +122,7 @@ func TestExample5Contain(t *testing.T) {
 			t.Fatalf("λ(%d) empty", qi)
 		}
 	}
-	_, ok, err = Contain(q, vs.Subset([]int{0, 1}))
+	_, ok, err = Contain(context.Background(), q, vs.Subset([]int{0, 1}), 1)
 	if err != nil || ok {
 		t.Fatalf("{V1,V2} should not contain Qs: %v %v", ok, err)
 	}
@@ -187,7 +188,7 @@ func TestMinimalIsMinimal(t *testing.T) {
 				rest = append(rest, v)
 			}
 		}
-		_, ok, err := Contain(q, vs.Subset(rest))
+		_, ok, err := Contain(context.Background(), q, vs.Subset(rest), 1)
 		if err != nil {
 			t.Fatalf("Contain: %v", err)
 		}
@@ -245,7 +246,7 @@ func TestContainRejectsEdgelessPattern(t *testing.T) {
 	q := pattern.New("single")
 	q.AddNode("a", "A")
 	vs := fig4Views()
-	if _, _, err := Contain(q, vs); err == nil {
+	if _, _, err := Contain(context.Background(), q, vs, 1); err == nil {
 		t.Fatalf("edge-less pattern should be rejected")
 	}
 }
@@ -270,10 +271,10 @@ func TestContainPredicates(t *testing.T) {
 	vw := vWeak.AddNode("v", "video", pattern.IntPred("rate", pattern.OpGe, 3))
 	vWeak.AddEdge(uw, vw)
 
-	if _, ok, _ := Contain(q, view.NewSet(view.Define("", vEq))); !ok {
+	if _, ok, _ := Contain(context.Background(), q, view.NewSet(view.Define("", vEq)), 1); !ok {
 		t.Fatalf("equivalent predicates should contain")
 	}
-	if _, ok, _ := Contain(q, view.NewSet(view.Define("", vWeak))); ok {
+	if _, ok, _ := Contain(context.Background(), q, view.NewSet(view.Define("", vWeak)), 1); ok {
 		t.Fatalf("weaker view predicate must not count as containment")
 	}
 }

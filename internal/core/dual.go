@@ -17,6 +17,8 @@ package core
 // (dual simulation is defined edge-to-edge).
 
 import (
+	"context"
+
 	"fmt"
 
 	"graphviews/internal/graph"
@@ -163,7 +165,7 @@ func DualContain(q *pattern.Pattern, vs *view.Set) (*Lambda, bool, error) {
 func DualMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
 	var st Stats
 	sc := new(Scratch)
-	sets, ok, scans := buildInitial(q, x, l, sc)
+	sets, ok, scans, _ := buildInitial(context.Background(), q, x, l, 1, sc) // Background: never cancelled
 	st.EdgeScans = scans
 	if !ok {
 		return simulation.Empty(q), st

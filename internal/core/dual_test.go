@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -91,8 +92,8 @@ func TestDualTheorem1(t *testing.T) {
 			t.Fatalf("trial %d: glued query not dual-contained\nq: %s", trial, q)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.MaterializeDual(g, vs)
-		want := simulation.SimulateDual(g, q)
+		x, _ := view.MaterializeDual(context.Background(), g, vs, 1)
+		want := simulation.SimulateDual(context.Background(), g, q, 1)
 		got, _ := DualMatchJoin(q, x, l)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: DualMatchJoin != SimulateDual\nq: %s\ngot:  %v\nwant: %v",
@@ -117,13 +118,15 @@ func TestDualMatchJoinStricterThanPlain(t *testing.T) {
 			continue
 		}
 		g := randomDataGraph(rng, labels)
-		lp, okP, _ := Contain(q, vs)
+		lp, okP, _ := Contain(context.Background(), q, vs, 1)
 		ld, okD, _ := DualContain(q, vs)
 		if !okP || !okD {
 			continue
 		}
-		plain, _ := MatchJoin(q, view.Materialize(g, vs), lp)
-		dual, _ := DualMatchJoin(q, view.MaterializeDual(g, vs), ld)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
+		xd, _ := view.MaterializeDual(context.Background(), g, vs, 1)
+		plain, _, _ := MatchJoin(context.Background(), q, x, lp, 1)
+		dual, _ := DualMatchJoin(q, xd, ld)
 		if !dual.Matched {
 			continue
 		}

@@ -28,8 +28,8 @@ func TestAnswerFrozenBackendEquivalence(t *testing.T) {
 		g := randomDataGraph(rng, labels)
 		fz := graph.Freeze(g)
 
-		xMut := view.Materialize(g, vs)
-		xFz := view.Materialize(fz, vs)
+		xMut, _ := view.Materialize(context.Background(), g, vs, 1)
+		xFz, _ := view.Materialize(context.Background(), fz, vs, 1)
 		for i := range xMut.Exts {
 			if !xMut.Exts[i].Result.Equal(xFz.Exts[i].Result) {
 				t.Fatalf("trial %d view %d: frozen extension differs", trial, i)
@@ -38,8 +38,8 @@ func TestAnswerFrozenBackendEquivalence(t *testing.T) {
 
 		for _, s := range []Strategy{UseAll, UseMinimal, UseMinimum} {
 			ctx := context.Background()
-			resMut, idxMut, stMut, errMut := AnswerWith(ctx, q, xMut, s, 1)
-			resFz, idxFz, stFz, errFz := AnswerWith(ctx, q, xFz, s, 1)
+			resMut, idxMut, stMut, errMut := Answer(ctx, q, xMut, s, 1)
+			resFz, idxFz, stFz, errFz := Answer(ctx, q, xFz, s, 1)
 			if (errMut == nil) != (errFz == nil) {
 				t.Fatalf("trial %d strategy %v: err %v vs %v", trial, s, errMut, errFz)
 			}
@@ -61,7 +61,7 @@ func TestAnswerFrozenBackendEquivalence(t *testing.T) {
 				t.Fatalf("trial %d strategy %v: stats %+v vs %+v", trial, s, stMut, stFz)
 			}
 			// Cross-check against direct evaluation on the frozen backend.
-			if want := simulation.Simulate(fz, q); !resMut.Equal(want) {
+			if want := simulation.Simulate(context.Background(), fz, q, 1); !resMut.Equal(want) {
 				t.Fatalf("trial %d strategy %v: answer != direct frozen evaluation", trial, s)
 			}
 		}

@@ -7,8 +7,8 @@ package core
 //
 //   - MatchJoin: production engine. Support counters plus a removal
 //     worklist; each pair is touched O(1) times beyond initialization.
-//     MatchJoinWith is the same engine with the seeding fanned out per
-//     query edge and the fixpoint parallelized per SCC of the pattern
+//     With more than one worker the seeding fans out per query edge and
+//     the fixpoint is parallelized per SCC of the pattern
 //     (matchjoin_scc.go), byte-identical at every worker count.
 //   - MatchJoinRanked: the paper's Fig. 2 with the Section III
 //     "bottom-up" optimization — edges are (re)scanned in ascending rank
@@ -50,7 +50,7 @@ type Stats struct {
 	// EdgeScans counts full scans over an edge's match set. For the
 	// scan-based variants (MatchJoinRanked, MatchJoinNaive) this is the
 	// number of Fig. 2 re-scan passes; for the support-counter engines
-	// (MatchJoin, MatchJoinWith, DualMatchJoin) the cascade never
+	// (MatchJoin, DualMatchJoin) the cascade never
 	// re-scans a set, so EdgeScans counts the seeding passes actually
 	// performed — one per query edge seeded, stopping at the first edge
 	// whose union came up empty.
@@ -116,13 +116,8 @@ func (es *edgeSet) hasDst(v int) bool {
 // extension match sets, filtered by the query edge bound using the
 // recorded pair distances, deduplicated keeping minimum distance. scans
 // is the number of seeding passes performed (see Stats.EdgeScans).
-func buildInitial(q *pattern.Pattern, x *view.Extensions, l *Lambda, sc *Scratch) (sets []edgeSet, ok bool, scans int) {
-	sets, ok, scans, _ = buildInitialPar(context.Background(), q, x, l, 1, sc)
-	return sets, ok, scans
-}
-
-// buildInitialPar is buildInitial with the per-query-edge seeding — the
-// union + bound filter + dedup, independent across edges — fanned out
+//
+// The per-query-edge seeding is independent across edges and fans out
 // over up to workers goroutines. Extensions are only read; each worker
 // writes its own sets slot. An empty seeded edge short-circuits: the
 // sequential path returns before touching later edges, and parallel
@@ -133,7 +128,7 @@ func buildInitial(q *pattern.Pattern, x *view.Extensions, l *Lambda, sc *Scratch
 //
 // The sequential path draws pair buffers from the scratch arenas; the
 // parallel path seeds from the heap (arenas are single-goroutine).
-func buildInitialPar(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, sc *Scratch) ([]edgeSet, bool, int, error) {
+func buildInitial(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, sc *Scratch) ([]edgeSet, bool, int, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -400,42 +395,22 @@ func finish(q *pattern.Pattern, sets []edgeSet, nu int, toOrig []graph.NodeID, s
 
 // MatchJoin evaluates q over the extensions using λ (production engine).
 // Callers obtain λ from Contain, Minimal or Minimum; extensions must
-// correspond to the full view set λ was built against. This is the
-// sequential reference path: one global support-counter cascade.
-func MatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
+// correspond to the full view set λ was built against. Both phases fan
+// out over up to workers goroutines: the seeding (per-query-edge union
+// and bound filtering over the view extensions) runs one task per edge,
+// and the removal fixpoint is decomposed by the pattern's SCC
+// condensation into reverse-topological waves of independent components
+// (see matchjoin_scc.go). With one worker the fixpoint is the flat
+// sequential cascade, the reference the SCC path is tested against.
+// Results and Stats are identical at every worker count. It returns
+// ctx.Err() when cancelled during seeding or at a wave barrier. Working
+// state comes from the package's scratch pool; the Result never aliases
+// it.
+func MatchJoin(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int) (*simulation.Result, Stats, error) {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
 	var st Stats
-	sc := new(Scratch)
-	sets, ok, scans := buildInitial(q, x, l, sc)
-	st.EdgeScans = scans
-	if !ok {
-		return simulation.Empty(q), st
-	}
-	for qi := range sets {
-		st.InitialPairs += len(sets[qi].pairs)
-	}
-	nu, toOrig := indexEdgeSets(sets, sc)
-	return matchJoinFixpoint(q, sets, &st, nu, toOrig, sc), st
-}
-
-// MatchJoinWith is MatchJoin with both phases parallelized over up to
-// workers goroutines: the seeding (per-query-edge union and bound
-// filtering over the view extensions) fans out one task per edge, and the
-// removal fixpoint itself is decomposed by the pattern's SCC condensation
-// into reverse-topological waves of independent components (see
-// matchjoin_scc.go). Results and Stats are identical to MatchJoin's at
-// every worker count. It returns ctx.Err() when cancelled during seeding
-// or at a wave barrier.
-func MatchJoinWith(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int) (*simulation.Result, Stats, error) {
-	return MatchJoinPooled(ctx, q, x, l, workers, nil)
-}
-
-// MatchJoinPooled is MatchJoinWith drawing its working state from pool;
-// see ScratchPool. A nil pool uses a transient scratch.
-func MatchJoinPooled(ctx context.Context, q *pattern.Pattern, x *view.Extensions, l *Lambda, workers int, pool *ScratchPool) (*simulation.Result, Stats, error) {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	var st Stats
-	sets, ok, scans, err := buildInitialPar(ctx, q, x, l, workers, sc)
+	sets, ok, scans, err := buildInitial(ctx, q, x, l, workers, sc)
 	st.EdgeScans = scans
 	if err != nil {
 		return nil, Stats{}, err
@@ -572,5 +547,6 @@ func matchJoinFixpoint(q *pattern.Pattern, sets []edgeSet, st *Stats, nu int, to
 // distance filtering I(V) provides in the paper is already encoded in the
 // extension pair distances, so the implementations coincide.
 func BMatchJoin(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
-	return MatchJoin(q, x, l)
+	res, st, _ := MatchJoin(context.Background(), q, x, l, 1) // Background: never cancelled
+	return res, st
 }

@@ -1,8 +1,8 @@
 package core
 
 // Determinism and equivalence tests for the SCC-parallel MatchJoin
-// fixpoint: MatchJoinWith must return results and stats byte-identical
-// to the sequential MatchJoin at every worker count, on cyclic, DAG and
+// fixpoint: MatchJoin must return results and stats byte-identical to
+// its single-worker flat cascade at every worker count, on cyclic, DAG and
 // bounded patterns, and both must agree with direct (bounded) simulation
 // on contained queries (Theorem 1).
 
@@ -43,12 +43,12 @@ func assertIdentical(t *testing.T, label string, seqRes *simulation.Result, seqS
 // direct evaluation.
 func runSweep(t *testing.T, label string, q *pattern.Pattern, x *view.Extensions, l *Lambda, want *simulation.Result) {
 	t.Helper()
-	seqRes, seqSt := MatchJoin(q, x, l)
+	seqRes, seqSt, _ := MatchJoin(context.Background(), q, x, l, 1)
 	if want != nil && !seqRes.Equal(want) {
 		t.Fatalf("%s: sequential MatchJoin != direct evaluation\ngot:  %v\nwant: %v", label, seqRes, want)
 	}
 	for _, w := range sccWorkerSweep {
-		res, st, err := MatchJoinWith(context.Background(), q, x, l, w)
+		res, st, err := MatchJoin(context.Background(), q, x, l, w)
 		if err != nil {
 			t.Fatalf("%s workers=%d: %v", label, w, err)
 		}
@@ -69,17 +69,17 @@ func TestMatchJoinSCCNecklace(t *testing.T) {
 			bound = pattern.Unbounded
 		}
 		q, vs := generator.Necklace(rng, k, bound)
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(context.Background(), q, vs, 1)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: necklace not contained in its views: %v %v", trial, ok, err)
 		}
 		g := generator.NecklaceGraph(rng, q, 30+rng.Intn(40), 150+rng.Intn(150))
-		x := view.Materialize(g, vs)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
 		var want *simulation.Result
 		if q.IsPlain() {
-			want = simulation.Simulate(g, q)
+			want = simulation.Simulate(context.Background(), g, q, 1)
 		} else {
-			want = simulation.SimulateBounded(g, q)
+			want = simulation.SimulateBounded(context.Background(), g, q, 1)
 		}
 		runSweep(t, "necklace", q, x, l, want)
 	}
@@ -99,12 +99,12 @@ func TestMatchJoinSCCRandomGlued(t *testing.T) {
 			if q == nil {
 				continue
 			}
-			l, ok, err := Contain(q, vs)
+			l, ok, err := Contain(context.Background(), q, vs, 1)
 			if err != nil || !ok {
 				continue
 			}
 			g := randomDataGraph(rng, labels)
-			x := view.Materialize(g, vs)
+			x, _ := view.Materialize(context.Background(), g, vs, 1)
 			runSweep(t, "glued", q, x, l, nil)
 			tested++
 		}
@@ -123,13 +123,13 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 	v := pattern.New("v")
 	v.AddEdge(v.AddNode("a", "A"), v.AddNode("b", "B"))
 	vs := view.NewSet(view.Define("", v))
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	q := v.Clone()
-	l, ok, _ := Contain(q, vs)
+	l, ok, _ := Contain(context.Background(), q, vs, 1)
 	if !ok {
 		t.Fatal("q ⊑ {q} must hold")
 	}
-	seqRes, seqSt := MatchJoin(q, x, l)
+	seqRes, seqSt, _ := MatchJoin(context.Background(), q, x, l, 1)
 	if seqRes.Matched {
 		t.Fatal("expected ∅")
 	}
@@ -137,7 +137,7 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 		t.Fatalf("EdgeScans = %d, want 1 (seeding stops at the first empty edge)", seqSt.EdgeScans)
 	}
 	for _, w := range sccWorkerSweep {
-		res, st, err := MatchJoinWith(context.Background(), q, x, l, w)
+		res, st, err := MatchJoin(context.Background(), q, x, l, w)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,16 +150,16 @@ func TestMatchJoinSCCEmptySeeding(t *testing.T) {
 func TestMatchJoinSCCCancellation(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	q, vs := generator.Necklace(rng, 3, 1)
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("necklace not contained: %v %v", ok, err)
 	}
 	g := generator.NecklaceGraph(rng, q, 40, 200)
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, _, err := MatchJoinWith(ctx, q, x, l, 4); !errors.Is(err, context.Canceled) {
-		t.Fatalf("cancelled MatchJoinWith: err = %v", err)
+	if _, _, err := MatchJoin(ctx, q, x, l, 4); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled MatchJoin: err = %v", err)
 	}
 }
 
@@ -167,12 +167,12 @@ func TestMatchJoinSCCCancellation(t *testing.T) {
 // engine reports exactly one seeding pass per query edge.
 func TestMatchJoinEdgeScansCountSeeding(t *testing.T) {
 	g, q, vs := fig3Instance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("Qs3 ⊑ {V1,V2} expected: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
-	_, st := MatchJoin(q, x, l)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
+	_, st, _ := MatchJoin(context.Background(), q, x, l, 1)
 	if st.EdgeScans != len(q.Edges) {
 		t.Fatalf("EdgeScans = %d, want %d (one seeding pass per edge)", st.EdgeScans, len(q.Edges))
 	}

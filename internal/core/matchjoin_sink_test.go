@@ -52,19 +52,19 @@ func sinkInstance() (*graph.Graph, *pattern.Pattern, *view.Set, int) {
 
 func TestSinkUnionDerivation(t *testing.T) {
 	g, q, vs, u := sinkInstance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("sink query not contained: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
-	want := simulation.Simulate(g, q)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
+	want := simulation.Simulate(context.Background(), g, q, 1)
 
 	engines := map[string]func() *simulation.Result{
-		"MatchJoin":       func() *simulation.Result { r, _ := MatchJoin(q, x, l); return r },
+		"MatchJoin":       func() *simulation.Result { r, _, _ := MatchJoin(context.Background(), q, x, l, 1); return r },
 		"MatchJoinNaive":  func() *simulation.Result { r, _ := MatchJoinNaive(q, x, l); return r },
 		"MatchJoinRanked": func() *simulation.Result { r, _ := MatchJoinRanked(q, x, l); return r },
 		"MatchJoinWith4": func() *simulation.Result {
-			r, _, err := MatchJoinWith(context.Background(), q, x, l, 4)
+			r, _, err := MatchJoin(context.Background(), q, x, l, 4)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -124,19 +124,19 @@ func TestSinkDerivationRandomized(t *testing.T) {
 			defs = append(defs, view.Define("", v))
 		}
 		vs := view.NewSet(defs...)
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(context.Background(), q, vs, 1)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: star not contained: %v %v", trial, ok, err)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.Simulate(g, q)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
+		want := simulation.Simulate(context.Background(), g, q, 1)
 
 		results := make(map[string]*simulation.Result)
-		results["MatchJoin"], _ = MatchJoin(q, x, l)
+		results["MatchJoin"], _, _ = MatchJoin(context.Background(), q, x, l, 1)
 		results["MatchJoinNaive"], _ = MatchJoinNaive(q, x, l)
 		results["MatchJoinRanked"], _ = MatchJoinRanked(q, x, l)
-		parRes, _, err := MatchJoinWith(context.Background(), q, x, l, 4)
+		parRes, _, err := MatchJoin(context.Background(), q, x, l, 4)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -57,13 +58,13 @@ func fig1Instance() (*graph.Graph, *pattern.Pattern, *view.Set) {
 // Example 2 result exactly.
 func TestExample3AndMatchJoinFig1(t *testing.T) {
 	g, q, vs := fig1Instance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("Example 3: Qs ⊑ V expected, got %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
-	got, _ := MatchJoin(q, x, l)
-	want := simulation.Simulate(g, q)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
+	got, _, _ := MatchJoin(context.Background(), q, x, l, 1)
+	want := simulation.Simulate(context.Background(), g, q, 1)
 	if !got.Equal(want) {
 		t.Fatalf("MatchJoin != Match on Fig. 1\ngot:  %v\nwant: %v", got, want)
 	}
@@ -119,11 +120,11 @@ func fig3Instance() (*graph.Graph, *pattern.Pattern, *view.Set) {
 // fixpoint removes, yielding the Example 4 table.
 func TestExample4MatchJoin(t *testing.T) {
 	g, q, vs := fig3Instance()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("Qs3 ⊑ {V1,V2} expected: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 
 	// The raw view extensions do hold the to-be-removed matches.
 	v2res := x.Exts[1].Result
@@ -134,8 +135,8 @@ func TestExample4MatchJoin(t *testing.T) {
 		t.Fatalf("V2(G) missing (DB2,AI1): %v", v2res.Edges[0].Pairs)
 	}
 
-	got, st := MatchJoin(q, x, l)
-	want := simulation.Simulate(g, q)
+	got, st, _ := MatchJoin(context.Background(), q, x, l, 1)
+	want := simulation.Simulate(context.Background(), g, q, 1)
 	if !got.Equal(want) {
 		t.Fatalf("MatchJoin != Match on Fig. 3\ngot:  %v\nwant: %v", got, want)
 	}
@@ -278,7 +279,7 @@ func TestTheorem1Plain(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(context.Background(), q, vs, 1)
 		if err != nil {
 			t.Fatalf("Contain: %v", err)
 		}
@@ -286,10 +287,10 @@ func TestTheorem1Plain(t *testing.T) {
 			t.Fatalf("trial %d: glued query should be contained\nq: %s", trial, q)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.Simulate(g, q)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
+		want := simulation.Simulate(context.Background(), g, q, 1)
 
-		got, _ := MatchJoin(q, x, l)
+		got, _, _ := MatchJoin(context.Background(), q, x, l, 1)
 		if !got.Equal(want) {
 			t.Fatalf("trial %d: MatchJoin != Match\nq: %s\ngot:  %v\nwant: %v", trial, q, got, want)
 		}
@@ -328,8 +329,8 @@ func TestTheorem1Bounded(t *testing.T) {
 			t.Fatalf("trial %d: glued bounded query should be contained\nq: %s", trial, q)
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.SimulateBounded(g, q)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
+		want := simulation.SimulateBounded(context.Background(), g, q, 1)
 
 		got, _ := BMatchJoin(q, x, l)
 		if !got.Equal(want) {
@@ -363,10 +364,10 @@ func TestAnswerStrategies(t *testing.T) {
 			continue
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.Materialize(g, vs)
-		want := simulation.Simulate(g, q)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
+		want := simulation.Simulate(context.Background(), g, q, 1)
 		for _, s := range []Strategy{UseAll, UseMinimal, UseMinimum} {
-			got, used, err := Answer(q, x, s)
+			got, used, _, err := Answer(context.Background(), q, x, s, 1)
 			if err != nil {
 				t.Fatalf("Answer(%v): %v", s, err)
 			}
@@ -392,11 +393,11 @@ func TestAnswerNotContained(t *testing.T) {
 	v := pattern.New("v")
 	v.AddEdge(v.AddNode("a", "A"), v.AddNode("b", "B"))
 	vs := view.NewSet(view.Define("", v))
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 
 	q := pattern.New("q")
 	q.AddEdge(q.AddNode("a", "A"), q.AddNode("z", "Z"))
-	if _, _, err := Answer(q, x, UseAll); err != ErrNotContained {
+	if _, _, _, err := Answer(context.Background(), q, x, UseAll, 1); err != ErrNotContained {
 		t.Fatalf("want ErrNotContained, got %v", err)
 	}
 }
@@ -417,11 +418,11 @@ func TestLemma2PathPattern(t *testing.T) {
 	vs := view.NewSet(view.Define("v", p.Clone()))
 	rng := rand.New(rand.NewSource(53))
 	g := randomDataGraph(rng, labels)
-	l, ok, err := Contain(p, vs)
+	l, ok, err := Contain(context.Background(), p, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("path ⊑ {itself} must hold: %v %v", ok, err)
 	}
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	_, st := MatchJoinRanked(p, x, l)
 	if st.EdgeScans > len(p.Edges) {
 		t.Fatalf("Lemma 2 violated on a path pattern: %d scans for %d edges", st.EdgeScans, len(p.Edges))
@@ -433,8 +434,8 @@ func TestLemma2PathPattern(t *testing.T) {
 // needs at least as many scans as the ranked one.
 func TestNaiveDoesMoreScansOnCycles(t *testing.T) {
 	g, q, vs := fig3Instance()
-	l, _, _ := Contain(q, vs)
-	x := view.Materialize(g, vs)
+	l, _, _ := Contain(context.Background(), q, vs, 1)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	_, stR := MatchJoinRanked(q, x, l)
 	_, stN := MatchJoinNaive(q, x, l)
 	if stN.EdgeScans < stR.EdgeScans {
@@ -453,17 +454,17 @@ func TestMatchJoinEmptyWhenViewEmpty(t *testing.T) {
 	v := pattern.New("v")
 	v.AddEdge(v.AddNode("a", "A"), v.AddNode("b", "B"))
 	vs := view.NewSet(view.Define("", v))
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	q := v.Clone()
-	l, ok, _ := Contain(q, vs)
+	l, ok, _ := Contain(context.Background(), q, vs, 1)
 	if !ok {
 		t.Fatalf("q ⊑ {q} must hold")
 	}
-	res, _ := MatchJoin(q, x, l)
+	res, _, _ := MatchJoin(context.Background(), q, x, l, 1)
 	if res.Matched {
 		t.Fatalf("expected ∅")
 	}
-	want := simulation.Simulate(g, q)
+	want := simulation.Simulate(context.Background(), g, q, 1)
 	if !res.Equal(want) {
 		t.Fatalf("∅ results should agree")
 	}

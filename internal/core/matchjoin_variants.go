@@ -8,6 +8,8 @@ package core
 // how often match sets are rescanned.
 
 import (
+	"context"
+
 	"slices"
 
 	"graphviews/internal/pattern"
@@ -66,7 +68,7 @@ func MatchJoinNaive(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulat
 	sc := new(Scratch)
 	// The scan-based variants count Fig. 2 (re)scan passes only — the
 	// Exp-2 ablation metric — so the seeding pass count is discarded.
-	sets, ok, _ := buildInitial(q, x, l, sc)
+	sets, ok, _, _ := buildInitial(context.Background(), q, x, l, 1, sc) // Background: never cancelled
 	if !ok {
 		return simulation.Empty(q), st
 	}
@@ -99,7 +101,7 @@ func MatchJoinNaive(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulat
 func MatchJoinRanked(q *pattern.Pattern, x *view.Extensions, l *Lambda) (*simulation.Result, Stats) {
 	var st Stats
 	sc := new(Scratch)
-	sets, ok, _ := buildInitial(q, x, l, sc)
+	sets, ok, _, _ := buildInitial(context.Background(), q, x, l, 1, sc) // Background: never cancelled
 	if !ok {
 		return simulation.Empty(q), st
 	}

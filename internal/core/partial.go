@@ -21,6 +21,8 @@ package core
 // to the exact Qs(G).
 
 import (
+	"context"
+
 	"graphviews/internal/graph"
 	"graphviews/internal/pattern"
 	"graphviews/internal/simulation"
@@ -71,7 +73,7 @@ func AnswerPartial(q *pattern.Pattern, x *view.Extensions) (*PartialAnswer, erro
 		}
 	}
 	if exact {
-		res, _ := MatchJoin(q, x, l)
+		res, _, _ := MatchJoin(context.Background(), q, x, l, 1) // Background: never cancelled
 		return &PartialAnswer{Covered: covered, Result: res, Exact: true}, nil
 	}
 
@@ -102,7 +104,7 @@ func AnswerPartial(q *pattern.Pattern, x *view.Extensions) (*PartialAnswer, erro
 		subLambda.PerEdge = append(subLambda.PerEdge, l.PerEdge[qi])
 	}
 
-	subRes, _ := MatchJoin(sub, x, subLambda)
+	subRes, _, _ := MatchJoin(context.Background(), sub, x, subLambda, 1) // Background: never cancelled
 
 	// Project back onto the original pattern's edge indexing.
 	res := &simulation.Result{

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -13,7 +14,7 @@ import (
 // the exact answer.
 func TestPartialExactWhenContained(t *testing.T) {
 	g, q, vs := fig1Instance()
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	pa, err := AnswerPartial(q, x)
 	if err != nil {
 		t.Fatalf("AnswerPartial: %v", err)
@@ -21,7 +22,7 @@ func TestPartialExactWhenContained(t *testing.T) {
 	if !pa.Exact {
 		t.Fatalf("Fig. 1 query is contained; partial answer should be exact")
 	}
-	want := simulation.Simulate(g, q)
+	want := simulation.Simulate(context.Background(), g, q, 1)
 	if !pa.Result.Equal(want) {
 		t.Fatalf("exact partial answer != direct evaluation")
 	}
@@ -41,8 +42,8 @@ func TestPartialCoverage(t *testing.T) {
 	g.AddEdge(6, emmy)
 	g.AddEdge(7, emmy)
 
-	x := view.Materialize(g, vs)
-	if _, ok, _ := Contain(q, vs); ok {
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
+	if _, ok, _ := Contain(context.Background(), q, vs, 1); ok {
 		t.Fatalf("extended query must not be contained")
 	}
 	pa, err := AnswerPartial(q, x)
@@ -66,7 +67,7 @@ func TestPartialCoverage(t *testing.T) {
 	}
 
 	// Soundness: true match sets ⊆ partial sets on covered edges.
-	want := simulation.Simulate(g, q)
+	want := simulation.Simulate(context.Background(), g, q, 1)
 	if !want.Matched {
 		t.Fatalf("true answer should be nonempty")
 	}
@@ -96,12 +97,12 @@ func TestPartialSoundnessRandom(t *testing.T) {
 		if q == nil {
 			continue
 		}
-		x := view.Materialize(g, vs)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
 		pa, err := AnswerPartial(q, x)
 		if err != nil {
 			continue // e.g. single-node query rejected
 		}
-		want := simulation.Simulate(g, q)
+		want := simulation.Simulate(context.Background(), g, q, 1)
 		if !want.Matched {
 			tested++
 			continue // nothing to check: truth is empty, superset trivial

@@ -467,7 +467,6 @@ func assertRefIdentical(t *testing.T, label string, refRes *simulation.Result, r
 // workloads.
 func TestDenseMatchJoinMatchesReference(t *testing.T) {
 	labels := []string{"A", "B", "C"}
-	pool := NewScratchPool()
 	for _, bounded := range []bool{false, true} {
 		rng := rand.New(rand.NewSource(7321))
 		tested := 0
@@ -477,18 +476,18 @@ func TestDenseMatchJoinMatchesReference(t *testing.T) {
 			if q == nil {
 				continue
 			}
-			l, ok, err := Contain(q, vs)
+			l, ok, err := Contain(context.Background(), q, vs, 1)
 			if err != nil || !ok {
 				continue
 			}
 			g := randomDataGraph(rng, labels)
-			x := view.Materialize(g, vs)
+			x, _ := view.Materialize(context.Background(), g, vs, 1)
 
 			refRes, refSt := refMatchJoin(q, x, l)
-			gotRes, gotSt := MatchJoin(q, x, l)
+			gotRes, gotSt, _ := MatchJoin(context.Background(), q, x, l, 1)
 			assertRefIdentical(t, "sequential", refRes, refSt, gotRes, gotSt)
 			for _, w := range []int{1, 2, 4, 8} {
-				res, st, err := MatchJoinPooled(context.Background(), q, x, l, w, pool)
+				res, st, err := MatchJoin(context.Background(), q, x, l, w)
 				if err != nil {
 					t.Fatalf("workers=%d: %v", w, err)
 				}
@@ -506,7 +505,6 @@ func TestDenseMatchJoinMatchesReference(t *testing.T) {
 // the wave-parallel cascade against the map-based reference.
 func TestDenseMatchJoinMatchesReferenceSCC(t *testing.T) {
 	rng := rand.New(rand.NewSource(7331))
-	pool := NewScratchPool()
 	for trial := 0; trial < 25; trial++ {
 		k := 2 + rng.Intn(4)
 		bound := pattern.Bound(1)
@@ -516,16 +514,16 @@ func TestDenseMatchJoinMatchesReferenceSCC(t *testing.T) {
 			bound = pattern.Unbounded
 		}
 		q, vs := generator.Necklace(rng, k, bound)
-		l, ok, err := Contain(q, vs)
+		l, ok, err := Contain(context.Background(), q, vs, 1)
 		if err != nil || !ok {
 			t.Fatalf("trial %d: necklace not contained: %v %v", trial, ok, err)
 		}
 		g := generator.NecklaceGraph(rng, q, 30+rng.Intn(40), 150+rng.Intn(150))
-		x := view.Materialize(g, vs)
+		x, _ := view.Materialize(context.Background(), g, vs, 1)
 
 		refRes, refSt := refMatchJoin(q, x, l)
 		for _, w := range []int{1, 2, 4, 8} {
-			res, st, err := MatchJoinPooled(context.Background(), q, x, l, w, pool)
+			res, st, err := MatchJoin(context.Background(), q, x, l, w)
 			if err != nil {
 				t.Fatalf("trial %d workers=%d: %v", trial, w, err)
 			}
@@ -552,7 +550,7 @@ func TestDenseDualMatchJoinMatchesReference(t *testing.T) {
 			continue
 		}
 		g := randomDataGraph(rng, labels)
-		x := view.MaterializeDual(g, vs)
+		x, _ := view.MaterializeDual(context.Background(), g, vs, 1)
 
 		refRes, refSt := refDualMatchJoin(q, x, l)
 		gotRes, gotSt := DualMatchJoin(q, x, l)

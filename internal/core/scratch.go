@@ -55,12 +55,6 @@ func (sc *Scratch) giveKills(k []kill) {
 	}
 }
 
-// ScratchPool pools Scratches across the queries of one Engine (see
-// arena.Pool for the Get/Put and nil-pool contracts), making its
-// steady-state answer path allocation-free.
-type ScratchPool = arena.Pool[Scratch, *Scratch]
-
-// NewScratchPool returns an empty pool.
-func NewScratchPool() *ScratchPool {
-	return arena.NewPool[Scratch]()
-}
+// scratchPool recycles Scratches across every MatchJoin call (see
+// arena.Pool), making the steady-state answer path allocation-free.
+var scratchPool = arena.NewPool[Scratch]()

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"graphviews/internal/pattern"
 	"math/rand"
 	"testing"
@@ -23,7 +24,7 @@ func TestSelectViewsCoversWorkload(t *testing.T) {
 	}
 	sub := vs.Subset(chosen)
 	for _, q := range []*pattern.Pattern{q1, q2} {
-		if _, okC, _ := Contain(q, sub); !okC {
+		if _, okC, _ := Contain(context.Background(), q, sub, 1); !okC {
 			t.Fatalf("chosen views %v do not contain %s", chosen, q.Name)
 		}
 	}
@@ -88,7 +89,7 @@ func TestSelectViewsRandomWorkload(t *testing.T) {
 		}
 		sub := vs.Subset(chosen)
 		for _, q := range workload {
-			if _, okC, _ := Contain(q, sub); !okC {
+			if _, okC, _ := Contain(context.Background(), q, sub, 1); !okC {
 				t.Fatalf("trial %d: workload query lost coverage", trial)
 			}
 		}

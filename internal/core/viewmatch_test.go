@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -204,7 +205,7 @@ func TestMinimumNearOptimal(t *testing.T) {
 func TestExample5LambdaShape(t *testing.T) {
 	q := fig4Qs()
 	vs := fig4Views()
-	l, ok, err := Contain(q, vs)
+	l, ok, err := Contain(context.Background(), q, vs, 1)
 	if err != nil || !ok {
 		t.Fatalf("Contain: %v %v", ok, err)
 	}

@@ -117,7 +117,7 @@ func (c Config) input(g *graph.Graph) graph.Reader {
 
 // materialize evaluates the views through the configured worker pool.
 func (c Config) materialize(g graph.Reader, vs *view.Set) *view.Extensions {
-	x, _ := view.MaterializeWith(context.Background(), g, vs, c.workers())
+	x, _ := view.Materialize(context.Background(), g, vs, c.workers())
 	return x
 }
 

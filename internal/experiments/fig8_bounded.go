@@ -3,6 +3,7 @@ package experiments
 // Exp-4: bounded pattern queries using views (Fig. 8(i)–(l)).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -45,7 +46,7 @@ func Fig8k(cfg Config) *Figure {
 		for qi := 0; qi < cfg.queries(); qi++ {
 			q := generator.GlueQuery(rng, vs, 4, 8)
 			var direct, got *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.SimulateBounded(g, q) })
+			tMatch += timeIt(func() { direct = simulation.SimulateBounded(context.Background(), g, q, 1) })
 			tMnl += timeIt(func() {
 				_, l, ok, _ := core.BMinimal(q, vs)
 				if !ok {
@@ -90,7 +91,7 @@ func Fig8l(cfg Config) *Figure {
 		for qi := 0; qi < cfg.queries(); qi++ {
 			q := generator.GlueQuery(rng, vs, 4, 6)
 			var direct, got *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.SimulateBounded(g, q) })
+			tMatch += timeIt(func() { direct = simulation.SimulateBounded(context.Background(), g, q, 1) })
 			tMnl += timeIt(func() {
 				_, l, ok, _ := core.BMinimal(q, vs)
 				if !ok {

@@ -4,6 +4,7 @@ package experiments
 // (Fig. 8(h)).
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -34,12 +35,12 @@ func Fig8g(cfg Config) *Figure {
 			dag := generator.RandomPattern(rng, sz.nv, sz.ne, 10, false)
 			cyc := generator.RandomPattern(rng, sz.nv, sz.ne, 10, true)
 			tDag += timeIt(func() {
-				if _, _, err := core.Contain(dag, vs); err != nil {
+				if _, _, err := core.Contain(context.Background(), dag, vs, 1); err != nil {
 					panic(err)
 				}
 			})
 			tCyc += timeIt(func() {
-				if _, _, err := core.Contain(cyc, vs); err != nil {
+				if _, _, err := core.Contain(context.Background(), cyc, vs, 1); err != nil {
 					panic(err)
 				}
 			})

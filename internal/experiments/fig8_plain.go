@@ -6,6 +6,7 @@ package experiments
 // MatchJoin_nopt is the unranked ablation of Exp-2.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -57,21 +58,21 @@ func runVaryQs(cfg Config, id, title string, g graph.Reader, vs *view.Set, sizes
 		for qi := 0; qi < cfg.queries(); qi++ {
 			q := generator.GlueQuery(rng, vs, sz.nv, sz.ne)
 			var direct, ansMnl, ansMin *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.Simulate(g, q) })
+			tMatch += timeIt(func() { direct = simulation.Simulate(context.Background(), g, q, 1) })
 			tMnl += timeIt(func() {
 				idx, l, ok, err := core.Minimal(q, vs)
 				if err != nil || !ok {
 					panic(fmt.Sprintf("experiments: glued query not contained: %v", err))
 				}
 				_ = idx
-				ansMnl, _ = core.MatchJoin(q, x, l)
+				ansMnl, _, _ = core.MatchJoin(context.Background(), q, x, l, 1)
 			})
 			tMin += timeIt(func() {
 				_, l, ok, err := core.Minimum(q, vs)
 				if err != nil || !ok {
 					panic(fmt.Sprintf("experiments: glued query not contained: %v", err))
 				}
-				ansMin, _ = core.MatchJoin(q, x, l)
+				ansMin, _, _ = core.MatchJoin(context.Background(), q, x, l, 1)
 			})
 			if cfg.Verify {
 				if !ansMnl.Equal(direct) || !ansMin.Equal(direct) {
@@ -142,13 +143,13 @@ func Fig8d(cfg Config) *Figure {
 		for qi := 0; qi < cfg.queries(); qi++ {
 			q := generator.GlueQuery(rng, vs, 4, 6)
 			var direct, got *simulation.Result
-			tMatch += timeIt(func() { direct = simulation.Simulate(g, q) })
+			tMatch += timeIt(func() { direct = simulation.Simulate(context.Background(), g, q, 1) })
 			tMnl += timeIt(func() {
 				_, l, ok, _ := core.Minimal(q, vs)
 				if !ok {
 					panic("experiments: glued query not contained")
 				}
-				got, _ = core.MatchJoin(q, x, l)
+				got, _, _ = core.MatchJoin(context.Background(), q, x, l, 1)
 			})
 			if cfg.Verify && !got.Equal(direct) {
 				panic("experiments: divergence in Fig8d")
@@ -158,7 +159,7 @@ func Fig8d(cfg Config) *Figure {
 				if !ok {
 					panic("experiments: glued query not contained")
 				}
-				got, _ = core.MatchJoin(q, x, l)
+				got, _, _ = core.MatchJoin(context.Background(), q, x, l, 1)
 			})
 		}
 		n64 := float64(cfg.queries())
@@ -196,7 +197,7 @@ func Fig8e(cfg Config) *Figure {
 				if !ok {
 					panic("experiments: glued query not contained")
 				}
-				core.MatchJoin(q, x, l)
+				core.MatchJoin(context.Background(), q, x, l, 1)
 			})
 			fig.Series[i].Values = append(fig.Series[i].Values, t)
 		}

@@ -8,6 +8,7 @@ package experiments
 // against rematerializing all views after every update.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -35,7 +36,7 @@ func RunMaintenance(cfg Config) *Figure {
 		fig.XLabels = append(fig.XLabels, fmt.Sprintf("%d", n))
 		g := generator.YouTubeLike(n, m, cfg.Seed)
 
-		maintained := view.NewMaintained(g.Clone(), vs)
+		maintained, _ := view.NewMaintained(context.Background(), g.Clone(), vs, 1)
 		shadow := g.Clone()
 
 		// Pre-draw one update stream so both strategies process the
@@ -88,12 +89,12 @@ func RunMaintenance(cfg Config) *Figure {
 				} else {
 					g2.AddEdge(s.u, s.v)
 				}
-				view.Materialize(g2, vs)
+				view.Materialize(context.Background(), g2, vs, 1)
 			}
 		})
 
 		if cfg.Verify {
-			fresh := view.Materialize(maintained.G, vs)
+			fresh, _ := view.Materialize(context.Background(), maintained.G, vs, 1)
 			for i := range fresh.Exts {
 				if !maintained.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					panic("experiments: maintained extensions diverged")

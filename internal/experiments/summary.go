@@ -8,6 +8,7 @@ package experiments
 // reduction achieved by minimum over minimal.
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -32,7 +33,7 @@ type DatasetSummary struct {
 
 // Summarize computes a DatasetSummary over nQueries glued queries.
 func Summarize(name string, g graph.Reader, vs *view.Set, seed int64, nQueries int) DatasetSummary {
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	s := DatasetSummary{
 		Name:           name,
 		Nodes:          g.NumNodes(),

@@ -1,6 +1,7 @@
 package generator
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -139,7 +140,7 @@ func TestViewsHaveMatches(t *testing.T) {
 		{"synthetic", Uniform(3000, 6000, 10, 4), SyntheticViews(10, 42)},
 	}
 	for _, c := range cases {
-		x := view.Materialize(c.g, c.vs)
+		x, _ := view.Materialize(context.Background(), c.g, c.vs, 1)
 		matched := 0
 		for _, e := range x.Exts {
 			if e.Result.Matched {
@@ -161,7 +162,7 @@ func TestGlueQueryContained(t *testing.T) {
 			if err := q.Validate(); err != nil {
 				t.Fatalf("set %d: invalid glued query: %v", si, err)
 			}
-			_, ok, err := core.Contain(q, vs)
+			_, ok, err := core.Contain(context.Background(), q, vs, 1)
 			if err != nil {
 				t.Fatalf("Contain: %v", err)
 			}
@@ -238,12 +239,12 @@ func TestBoundedQueryBounds(t *testing.T) {
 func TestWorkloadEndToEnd(t *testing.T) {
 	g := YouTubeLike(2000, 6000, 21)
 	vs := YouTubeViews()
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	rng := rand.New(rand.NewSource(22))
 	for trial := 0; trial < 10; trial++ {
 		q := GlueQuery(rng, vs, 4, 6)
-		want := simulation.Simulate(g, q)
-		got, _, err := core.Answer(q, x, core.UseMinimum)
+		want := simulation.Simulate(context.Background(), g, q, 1)
+		got, _, _, err := core.Answer(context.Background(), q, x, core.UseMinimum, 1)
 		if err != nil {
 			t.Fatalf("Answer: %v", err)
 		}

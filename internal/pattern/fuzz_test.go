@@ -66,3 +66,29 @@ func FuzzEquivalentPreds(f *testing.F) {
 		}
 	})
 }
+
+// FuzzParsePattern feeds arbitrary text to the pattern DSL parser that
+// serves /query and /match request bodies: Parse must never panic, and
+// an accepted pattern must render to a fixed point —
+// Parse(p.String()).String() == p.String().
+//
+// Run the seed corpus with `go test`; fuzz with
+//
+//	go test -run '^$' -fuzz '^FuzzParsePattern$' -fuzztime 15s ./internal/pattern
+func FuzzParsePattern(f *testing.F) {
+	f.Add("pattern q {\n  node a: A\n  node b: B\n  edge a -> b\n}\n")
+	f.Fuzz(func(t *testing.T, src string) {
+		p, err := Parse(src)
+		if err != nil {
+			return
+		}
+		want := p.String()
+		back, err := Parse(want)
+		if err != nil {
+			t.Fatalf("rendered pattern does not parse: %v\n%s", err, want)
+		}
+		if got := back.String(); got != want {
+			t.Fatalf("render is not a fixed point:\nfirst:  %q\nsecond: %q", want, got)
+		}
+	})
+}

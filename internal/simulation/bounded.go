@@ -23,21 +23,16 @@ import (
 
 // SimulateBounded computes Qb(G) under bounded simulation. Plain patterns
 // (all bounds 1) yield exactly the Simulate result, with identical match
-// sets.
-func SimulateBounded(g graph.Reader, p *pattern.Pattern) *Result {
-	return SimulateBoundedPar(context.Background(), g, p, 1)
-}
-
-// SimulateBoundedPar is SimulateBounded with the match-set enumeration —
-// one forward BFS per matched source node, the step that records the
-// exact path lengths reused as the distance index I(V) — fanned out over
-// up to workers goroutines, observing ctx between enumeration chunks.
-// The refinement fixpoint itself stays sequential. The result is
-// identical to SimulateBounded's: enumeration partitions source nodes,
-// so no pair is produced twice, and per-edge normalization makes the
-// merge order immaterial. Under a cancelled ctx the result may be
-// partial; callers must discard it when their ctx reports cancellation.
-func SimulateBoundedPar(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
+// sets. The match-set enumeration — one forward BFS per matched source
+// node, the step that records the exact path lengths reused as the
+// distance index I(V) — fans out over up to workers goroutines,
+// observing ctx between enumeration chunks; the refinement fixpoint
+// itself stays sequential. The result is identical at every worker
+// count: enumeration partitions source nodes, so no pair is produced
+// twice, and per-edge normalization makes the merge order immaterial.
+// Under a cancelled ctx the result may be partial; callers must discard
+// it when their ctx reports cancellation.
+func SimulateBounded(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
 	return simulateBoundedSeeded(ctx, g, p, candidates(g, p, false), workers, new(Scratch))
 }
 

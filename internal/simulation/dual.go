@@ -8,26 +8,19 @@ package simulation
 // working state.
 
 import (
+	"context"
+
 	"graphviews/internal/graph"
 	"graphviews/internal/pattern"
 )
 
 // SimulateDual computes the maximum dual simulation of p in g and derives
 // per-edge match sets exactly as Simulate does. The pattern must be plain.
-func SimulateDual(g graph.Reader, p *pattern.Pattern) *Result {
-	return simulateDual(g, p, new(Scratch))
-}
-
-// SimulateDualPooled is SimulateDual over a pooled Scratch; see
-// SimulatePooled.
-func SimulateDualPooled(g graph.Reader, p *pattern.Pattern, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	return simulateDual(g, p, sc)
-}
-
-func simulateDual(g graph.Reader, p *pattern.Pattern, sc *Scratch) *Result {
-	return simulateDualSeeded(g, p, candidates(g, p, false), sc)
+// The dual refinement is a sequential fixpoint, so, as for plain
+// Simulate, ctx and workers leave the result unchanged; like Simulate it
+// runs on a fresh scratch.
+func SimulateDual(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
+	return simulateDualSeeded(g, p, candidates(g, p, false), new(Scratch))
 }
 
 // simulateDualSeeded runs the dual fixpoint from the given candidate

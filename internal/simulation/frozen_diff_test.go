@@ -6,6 +6,7 @@ package simulation
 // semantics-free).
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -36,8 +37,12 @@ func equalResults(a, b *Result) bool {
 // SimulateStrong agree across backends on random plain instances.
 func TestFrozenBackendPlainEngines(t *testing.T) {
 	engines := map[string]func(graph.Reader, *pattern.Pattern) *Result{
-		"sim":    Simulate,
-		"dual":   SimulateDual,
+		"sim": func(g graph.Reader, p *pattern.Pattern) *Result {
+			return Simulate(context.Background(), g, p, 1)
+		},
+		"dual": func(g graph.Reader, p *pattern.Pattern) *Result {
+			return SimulateDual(context.Background(), g, p, 1)
+		},
 		"strong": SimulateStrong,
 		"brute":  BruteSimulate,
 	}
@@ -72,8 +77,8 @@ func TestFrozenBackendBounded(t *testing.T) {
 			}
 		}
 		fz := graph.Freeze(g)
-		a := SimulateBounded(g, p)
-		b := SimulateBounded(fz, p)
+		a := SimulateBounded(context.Background(), g, p, 1)
+		b := SimulateBounded(context.Background(), fz, p, 1)
 		if !equalResults(a, b) {
 			t.Fatalf("trial %d: frozen bounded result differs\nmutable: %v\nfrozen:  %v", trial, a, b)
 		}
@@ -106,7 +111,7 @@ func TestFrozenBackendPredicates(t *testing.T) {
 			}
 		}
 		fz := graph.Freeze(g)
-		if a, b := Simulate(g, p), Simulate(fz, p); !equalResults(a, b) {
+		if a, b := Simulate(context.Background(), g, p, 1), Simulate(context.Background(), fz, p, 1); !equalResults(a, b) {
 			t.Fatalf("trial %d: predicate evaluation differs across backends", trial)
 		}
 	}

@@ -6,7 +6,7 @@ package simulation
 // kernels replaced. The differential tests below prove the dense engines
 // produce identical Results (Sim lists, pairs and distances) on
 // randomized plain, bounded, dual and predicate workloads, including
-// repeated runs over one warmed ScratchPool (stale-scratch detection).
+// repeated runs over the warmed scratch pool (stale-scratch detection).
 
 import (
 	"context"
@@ -391,20 +391,19 @@ func addRandomPreds(rng *rand.Rand, g *graph.Graph, p *pattern.Pattern) {
 // reference byte for byte.
 func TestDenseKernelsMatchReferencePlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(9001))
-	pool := NewScratchPool()
 	for trial := 0; trial < 120; trial++ {
 		g, p := randomInstance(rng, 3)
 		if trial%2 == 0 {
 			addRandomPreds(rng, g, p)
 		}
 		want := referenceSimulateSeeded(g, p, candidates(g, p, true))
-		if got := Simulate(g, p); !equalResults(got, want) {
+		if got := Simulate(context.Background(), g, p, 1); !equalResults(got, want) {
 			t.Fatalf("trial %d: dense plain result differs\nref:   %v\ndense: %v", trial, want, got)
 		}
 		// Same query through the warmed pool, twice: a scratch that leaks
 		// state across queries would diverge here.
 		for round := 0; round < 2; round++ {
-			if got := SimulatePooled(context.Background(), g, p, 1, pool); !equalResults(got, want) {
+			if got := SimulateFromSeeds(context.Background(), g, p, candidates(g, p, true), 1); !equalResults(got, want) {
 				t.Fatalf("trial %d round %d: pooled plain result differs", trial, round)
 			}
 		}
@@ -415,13 +414,12 @@ func TestDenseKernelsMatchReferencePlain(t *testing.T) {
 // enumeration at workers 1/2/4/8.
 func TestDenseKernelsMatchReferenceBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(9002))
-	pool := NewScratchPool()
 	for trial := 0; trial < 80; trial++ {
 		g, p := randomInstance(rng, 3)
 		loosenBounds(rng, p)
 		want := referenceSimulateBounded(g, p, candidates(g, p, false))
 		for _, w := range []int{1, 2, 4, 8} {
-			got := SimulateFromSeeds(context.Background(), g, p, candidates(g, p, false), w, pool)
+			got := SimulateFromSeeds(context.Background(), g, p, candidates(g, p, false), w)
 			if !equalResults(got, want) {
 				t.Fatalf("trial %d workers %d: dense bounded result differs\nref:   %v\ndense: %v",
 					trial, w, want, got)
@@ -434,17 +432,16 @@ func TestDenseKernelsMatchReferenceBounded(t *testing.T) {
 // engine's per-ball scratch reuse against a per-ball reference.
 func TestDenseKernelsMatchReferenceDual(t *testing.T) {
 	rng := rand.New(rand.NewSource(9003))
-	pool := NewScratchPool()
 	for trial := 0; trial < 100; trial++ {
 		g, p := randomInstance(rng, 3)
 		if trial%2 == 0 {
 			addRandomPreds(rng, g, p)
 		}
 		want := referenceSimulateDual(g, p)
-		if got := SimulateDual(g, p); !equalResults(got, want) {
+		if got := SimulateDual(context.Background(), g, p, 1); !equalResults(got, want) {
 			t.Fatalf("trial %d: dense dual result differs\nref:   %v\ndense: %v", trial, want, got)
 		}
-		if got := SimulateDualPooled(g, p, pool); !equalResults(got, want) {
+		if got := SimulateDualFromSeeds(g, p, candidates(g, p, false)); !equalResults(got, want) {
 			t.Fatalf("trial %d: pooled dual result differs", trial)
 		}
 	}

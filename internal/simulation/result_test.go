@@ -1,6 +1,7 @@
 package simulation
 
 import (
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -106,7 +107,7 @@ func TestResultStringAndEmpty(t *testing.T) {
 	a := g.AddNode("A")
 	b := g.AddNode("B")
 	g.AddEdge(a, b)
-	res := Simulate(g, p)
+	res := Simulate(context.Background(), g, p, 1)
 	s := res.String()
 	if !strings.Contains(s, "(a,b)") || !strings.Contains(s, "(0,1)") {
 		t.Fatalf("String = %q", s)
@@ -118,8 +119,8 @@ func TestResultEqualSemantics(t *testing.T) {
 	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
 	g := graph.New()
 	g.AddEdge(g.AddNode("A"), g.AddNode("B"))
-	r1 := Simulate(g, p)
-	r2 := Simulate(g, p)
+	r1 := Simulate(context.Background(), g, p, 1)
+	r2 := Simulate(context.Background(), g, p, 1)
 	if !r1.Equal(r2) || !r1.EqualIgnoreDist(r2) {
 		t.Fatalf("identical runs must be equal")
 	}
@@ -151,7 +152,7 @@ func TestNodeMatchesAccessor(t *testing.T) {
 	pa := p.AddNode("a", "A")
 	pb := p.AddNode("b", "B")
 	p.AddEdge(pa, pb)
-	res := Simulate(g, p)
+	res := Simulate(context.Background(), g, p, 1)
 	if got := res.NodeMatches(pb); len(got) != 2 {
 		t.Fatalf("NodeMatches(b) = %v", got)
 	}

@@ -3,15 +3,15 @@ package simulation
 // Scratch is the reusable working state of the simulation engines: bitset
 // membership rows, flat support-counter arrays, removal worklists and BFS
 // buffers, all carved from bump arenas that are reclaimed wholesale
-// between queries. A warmed Scratch lets repeated Simulate/SimulateBounded
-// calls on same-sized graphs run without allocating working state; only
-// the Result (which outlives the call) is heap-allocated.
+// between queries. A warmed Scratch lets repeated materializations on
+// same-sized graphs run without allocating working state; only the
+// Result (which outlives the call) is heap-allocated.
 //
 // A Scratch serves one query at a time and must be reset between
-// queries: ScratchPool.Get hands out reset scratches, and multi-query
+// queries: scratchPool.Get hands out reset scratches, and multi-query
 // loops over one scratch (strong simulation's per-ball evaluation) call
-// reset directly. ScratchPool makes a set of them safe to share across a
-// worker pool.
+// reset directly. The pool makes a set of them safe to share across
+// concurrent queries.
 
 import (
 	"graphviews/internal/arena"
@@ -113,12 +113,6 @@ func (sc *Scratch) bfsScratch(n int) *graph.BFS {
 	return sc.bfs
 }
 
-// ScratchPool pools Scratches across the queries of one Engine (see
-// arena.Pool for the Get/Put and nil-pool contracts); it is what makes
-// the steady-state serving path allocation-free.
-type ScratchPool = arena.Pool[Scratch, *Scratch]
-
-// NewScratchPool returns an empty pool.
-func NewScratchPool() *ScratchPool {
-	return arena.NewPool[Scratch]()
-}
+// scratchPool recycles Scratches across materializations
+// (SimulateFromSeeds, SimulateDualFromSeeds; see arena.Pool).
+var scratchPool = arena.NewPool[Scratch]()

@@ -61,7 +61,7 @@ func condKey(sb *strings.Builder, n *pattern.Node, needOut bool) string {
 // the family (and within one pattern). The distinct conditions are
 // evaluated over up to workers goroutines. pruneOut selects the plain
 // simulation seeding (out-degree prune on plain patterns' nodes with
-// out-edges, as in SimulatePooled); pass false for dual materialization,
+// out-edges, as in Simulate); pass false for dual materialization,
 // where the prune is invalid. The returned slices are shared wherever
 // conditions coincide and must be treated as read-only; pass them to
 // SimulateFromSeeds / SimulateDualFromSeeds. Results are identical to
@@ -75,7 +75,7 @@ func condKey(sb *strings.Builder, n *pattern.Node, needOut bool) string {
 // byte-identical to the single-backend scan.
 //
 // Under a cancelled ctx some sets may be missing; callers must check ctx
-// before using the seeds (MaterializePooled's worker pool does).
+// before using the seeds (view.Materialize's worker pool does).
 func CandidateSeeds(ctx context.Context, g graph.Reader, pats []*pattern.Pattern, workers int, pruneOut bool) [][][]graph.NodeID {
 	type cond struct {
 		cn      pattern.CompiledNode
@@ -145,24 +145,22 @@ func CandidateSeeds(ctx context.Context, g graph.Reader, pats []*pattern.Pattern
 
 // SimulateFromSeeds evaluates p from precomputed candidate sets (see
 // CandidateSeeds), dispatching on the pattern class exactly like
-// SimulatePooled: the plain fixpoint for plain patterns, the bounded
-// fixpoint (with workers-wide match-set enumeration) otherwise. cands is
-// read, never written or retained.
-func SimulateFromSeeds(ctx context.Context, g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, workers int, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
-	if !p.IsPlain() {
-		return simulateBoundedSeeded(ctx, g, p, cands, workers, sc)
-	}
-	return simulateSeeded(g, p, cands, sc)
+// Simulate. cands is read, never written or retained. It is the
+// materialization path: working state comes from the package's scratch
+// pool, so repeated materializations stop allocating fixpoint state, and
+// the Result never aliases scratch memory.
+func SimulateFromSeeds(ctx context.Context, g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, workers int) *Result {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
+	return simulateFrom(ctx, g, p, cands, workers, sc)
 }
 
 // SimulateDualFromSeeds is the dual-simulation counterpart of
 // SimulateFromSeeds; the seeds must have been computed with pruneOut
 // false (dual semantics constrain both directions, so the out-degree
 // prune is invalid).
-func SimulateDualFromSeeds(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
+func SimulateDualFromSeeds(g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID) *Result {
+	sc := scratchPool.Get()
+	defer scratchPool.Put(sc)
 	return simulateDualSeeded(g, p, cands, sc)
 }

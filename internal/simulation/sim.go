@@ -77,35 +77,31 @@ func shardCandidateSet(g *graph.Sharded, si int, cn *pattern.CompiledNode, needO
 	return filterCandidates(g, g.ShardNodesWithLabel(si, cn.Label), cn, needOut)
 }
 
-// Simulate computes Qs(G) under graph simulation. Bounded patterns are
-// dispatched to SimulateBounded.
-func Simulate(g graph.Reader, p *pattern.Pattern) *Result {
-	return SimulatePooled(context.Background(), g, p, 1, nil)
-}
-
-// SimulatePar is Simulate with intra-query parallelism: bounded patterns
-// enumerate their match sets (the distance-index construction) over up to
+// Simulate computes Qs(G) under graph simulation; bounded patterns are
+// dispatched to the bounded engine (see SimulateBounded), whose match-set
+// enumeration — the distance-index construction — fans out over up to
 // workers goroutines, observing ctx between enumeration chunks. Plain
-// patterns are unaffected — their refinement is a sequential fixpoint —
-// so results are identical at any worker count. A cancelled ctx may leave
-// the result partial; callers must discard it when their own ctx reports
-// cancellation (view.MaterializeWith does).
-func SimulatePar(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
-	return SimulatePooled(ctx, g, p, workers, nil)
+// patterns are unaffected by ctx and workers — their refinement is a
+// sequential fixpoint — so results are identical at any worker count. A
+// cancelled ctx may leave the result partial; callers must discard it
+// when their own ctx reports cancellation (view.Materialize does).
+//
+// Direct evaluation (/match, the maintenance fallback) is the occasional
+// path, so it runs on a fresh scratch rather than the pool: a pooled
+// scratch would keep its working state live between calls and raise the
+// heap's GC target.
+func Simulate(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int) *Result {
+	return simulateFrom(ctx, g, p, candidates(g, p, p.IsPlain()), workers, new(Scratch))
 }
 
-// SimulatePooled is SimulatePar drawing its working state from pool: the
-// engine's bitset rows, counters and worklists come from a pooled Scratch
-// that is returned when the call completes, so steady-state callers (the
-// Engine facade) stop allocating per query. A nil pool uses a transient
-// scratch. The Result never aliases scratch memory.
-func SimulatePooled(ctx context.Context, g graph.Reader, p *pattern.Pattern, workers int, pool *ScratchPool) *Result {
-	sc := pool.Get()
-	defer pool.Put(sc)
+// simulateFrom dispatches on the pattern class: the plain fixpoint for
+// plain patterns, the bounded fixpoint (with workers-wide match-set
+// enumeration) otherwise.
+func simulateFrom(ctx context.Context, g graph.Reader, p *pattern.Pattern, cands [][]graph.NodeID, workers int, sc *Scratch) *Result {
 	if !p.IsPlain() {
-		return simulateBoundedSeeded(ctx, g, p, candidates(g, p, false), workers, sc)
+		return simulateBoundedSeeded(ctx, g, p, cands, workers, sc)
 	}
-	return simulateSeeded(g, p, candidates(g, p, true), sc)
+	return simulateSeeded(g, p, cands, sc)
 }
 
 // SimulateSeeded runs the plain-simulation refinement from the given

@@ -82,7 +82,7 @@ func SimulateStrong(g graph.Reader, p *pattern.Pattern) *Result {
 
 		sub, toOrig := extractSubgraph(g, ball)
 		sc.Reset()
-		dres := simulateDual(sub, p, sc)
+		dres := simulateDualSeeded(sub, p, candidates(sub, p, false), sc)
 		if !dres.Matched {
 			continue
 		}

@@ -1,11 +1,11 @@
 package store
 
-// WAL and recovery micro-benchmarks feeding make bench-wal /
-// BENCH_PR9.json: append cost per record under each sync policy,
-// recovery decode+replay throughput, and snapshot codec throughput.
+// WAL, recovery and checkpoint micro-benchmarks feeding make bench-wal:
+// append cost per record under each sync policy, recovery decode+replay
+// throughput, and full and incremental checkpoint cost.
 
 import (
-	"bytes"
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -65,7 +65,7 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 		if good != int64(len(img)) || len(batches) != records {
 			b.Fatalf("decoded %d batches over %d bytes", len(batches), good)
 		}
-		m := view.NewMaintained(g.Clone(), vs)
+		m, _ := view.NewMaintained(context.Background(), g.Clone(), vs, 1)
 		feed := view.NewFeed(m)
 		for _, batch := range batches {
 			feed.Submit(batch...)
@@ -74,8 +74,8 @@ func BenchmarkRecoveryReplay(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshotSave / Load measure the checkpoint codec on a frozen
-// backend of ~200k edges.
+// benchMutable builds the checkpoint benchmarks' graph: nodes nodes
+// with four out-edges each (~200k edges at 50k nodes).
 func benchMutable(b *testing.B, nodes int) *graph.Graph {
 	b.Helper()
 	g := graph.New()
@@ -95,40 +95,6 @@ func benchMutable(b *testing.B, nodes int) *graph.Graph {
 
 func benchGraph(b *testing.B) *graph.Frozen {
 	return graph.Freeze(benchMutable(b, 50_000))
-}
-
-func BenchmarkSnapshotSave(b *testing.B) {
-	f := benchGraph(b)
-	var buf bytes.Buffer
-	if err := Save(&buf, f, 1); err != nil {
-		b.Fatal(err)
-	}
-	b.SetBytes(int64(buf.Len()))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf.Reset()
-		if err := Save(&buf, f, 1); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSnapshotLoad(b *testing.B) {
-	f := benchGraph(b)
-	var buf bytes.Buffer
-	if err := Save(&buf, f, 1); err != nil {
-		b.Fatal(err)
-	}
-	img := buf.Bytes()
-	b.SetBytes(int64(len(img)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := Load(bytes.NewReader(img)); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkStoreCheckpointFull measures a full checkpoint cycle (part
@@ -209,7 +175,7 @@ func BenchmarkStoreCheckpointDirtyFraction(b *testing.B) {
 func BenchmarkRecoveryExtensions(b *testing.B) {
 	g := benchMutable(b, 2_000)
 	vs := crashViews()
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	dir := b.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -247,7 +213,7 @@ func BenchmarkRecoveryExtensions(b *testing.B) {
 				b.Fatal(err)
 			}
 			thawed := s.Base().(*graph.Frozen).Thaw()
-			m := view.NewMaintained(thawed, vs)
+			m, _ := view.NewMaintained(context.Background(), thawed, vs, 1)
 			if len(m.SnapshotExtensions().Exts) != len(x.Exts) {
 				b.Fatal("rematerialization produced a different view set")
 			}

@@ -9,6 +9,7 @@ package store
 // sync policies × all three checkpoint backends.
 
 import (
+	"context"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -199,7 +200,7 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, policy SyncPolicy, checkpoint f
 	}
 
 	// Replay through delta propagation into maintained views.
-	m := view.NewMaintained(thaw(t, s2.Base()), vs)
+	m, _ := view.NewMaintained(context.Background(), thaw(t, s2.Base()), vs, 1)
 	feed := view.NewFeed(m)
 	for _, b := range tail {
 		feed.Submit(b...)
@@ -218,7 +219,8 @@ func runCrashTrial(t *testing.T, rng *rand.Rand, policy SyncPolicy, checkpoint f
 			}
 		}
 	}
-	requireSameExtensions(t, got, view.Materialize(oracle, vs))
+	want, _ := view.Materialize(context.Background(), oracle, vs, 1)
+	requireSameExtensions(t, got, want)
 }
 
 func minInt(a, b int) int {

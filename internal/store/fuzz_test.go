@@ -8,6 +8,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"reflect"
 	"testing"
 
@@ -54,7 +55,7 @@ func FuzzWALReplay(f *testing.F) {
 			g.AddNode([]string{"person", "site", "item", "tag"}[i%4])
 		}
 		n := graph.NodeID(g.NumNodes())
-		m := view.NewMaintained(g, crashViews())
+		m, _ := view.NewMaintained(context.Background(), g, crashViews(), 1)
 		for _, b := range batches {
 			in := b[:0:0]
 			for _, up := range b {

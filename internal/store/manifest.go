@@ -50,8 +50,7 @@ const maniHeaderLen = 8 + 4 + 1 + 3 + 4 + 8 + 8 + 8 + 8 + 4
 // maniEntryLen is one encoded part entry.
 const maniEntryLen = 1 + 4 + 8 + 8
 
-// maxShardCount bounds k against corrupted manifests (mirrors the
-// GVSNAP01 bound).
+// maxShardCount bounds k against corrupted manifests.
 const maxShardCount = 1 << 20
 
 // partEntry names one immutable part file from a manifest.
@@ -74,6 +73,12 @@ func (e partEntry) name() string {
 		return fmt.Sprintf("shard-%d-%d.part", e.idx, e.seq)
 	}
 }
+
+// Checkpoint kinds: which immutable graph backend the parts rebuild.
+const (
+	kindFrozen  = 1
+	kindSharded = 2
+)
 
 // manifest describes one committed checkpoint.
 type manifest struct {

@@ -2,15 +2,17 @@ package store
 
 // Tests of the per-shard checkpoint layout: incremental rewrites touch
 // only dirty shards, the manifest rename is the single commit point
-// (crash windows on either side recover cleanly), legacy single-file
-// snapshots migrate, extensions round-trip exactly, and zero-copy mmap
+// (crash windows on either side recover cleanly), retired single-file
+// snapshots are refused, extensions round-trip exactly, and zero-copy mmap
 // loads are indistinguishable from buffered reads.
 
 import (
+	"context"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strings"
 	"testing"
 
 	"graphviews/internal/graph"
@@ -136,47 +138,46 @@ func TestCheckpointKindChangeForcesFullRewrite(t *testing.T) {
 	}
 }
 
-// TestLegacySnapshotMigration: a data directory written by the
-// single-file GVSNAP01 era opens cleanly, and the first checkpoint
-// replaces current.snap with the manifest layout.
-func TestLegacySnapshotMigration(t *testing.T) {
+// TestLegacySnapshotRejected: a directory holding a single-file GVSNAP01
+// current.snap and no MANIFEST fails to open with the upgrade message —
+// it must never boot as a fresh, empty graph with the WAL replayed onto
+// it. Next to a MANIFEST, a stale current.snap is garbage and is
+// collected on open.
+func TestLegacySnapshotRejected(t *testing.T) {
 	dir := t.TempDir()
-	base := graph.Freeze(richGraph())
-	f, err := os.Create(filepath.Join(dir, snapName))
-	if err != nil {
+	snap := filepath.Join(dir, snapName)
+	if err := os.WriteFile(snap, []byte("GVSNAP01 checkpoint image"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := Save(f, base, 7); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
-		t.Fatal(err)
+	_, err := Open(dir, Options{})
+	if err == nil || !strings.Contains(err.Error(), snap) || !strings.Contains(err.Error(), "migrates GVSNAP01") {
+		t.Fatalf("Open over a legacy snapshot: err = %v, want the upgrade message naming %s", err, snap)
 	}
 
+	dir = t.TempDir()
 	s, err := Open(dir, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer s.Close()
-	if !reflect.DeepEqual(s.Base(), base) || s.BaseVersion() != 7 {
-		t.Fatalf("legacy snapshot not loaded: version %d", s.BaseVersion())
-	}
-	if err := s.Checkpoint(base, nil, 8); err != nil {
+	base := graph.Freeze(richGraph())
+	if err := s.Checkpoint(base, nil, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := os.Stat(filepath.Join(dir, manifestName)); err != nil {
-		t.Fatalf("manifest not written after migration: %v", err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, snapName)); !os.IsNotExist(err) {
-		t.Fatalf("legacy current.snap not collected: %v", err)
+	s.Close()
+	snap = filepath.Join(dir, snapName)
+	if err := os.WriteFile(snap, []byte("stale GVSNAP01 image"), 0o644); err != nil {
+		t.Fatal(err)
 	}
 	s2, err := Open(dir, Options{})
 	if err != nil {
-		t.Fatal(err)
+		t.Fatalf("reopen with a stale current.snap next to the manifest: %v", err)
 	}
 	defer s2.Close()
-	if !reflect.DeepEqual(s2.Base(), base) || s2.BaseVersion() != 8 {
-		t.Fatal("migrated checkpoint does not round-trip")
+	if !reflect.DeepEqual(s2.Base(), base) || s2.BaseVersion() != 7 {
+		t.Fatal("stale current.snap displaced the manifest checkpoint")
+	}
+	if _, err := os.Stat(snap); !os.IsNotExist(err) {
+		t.Fatalf("stale current.snap not collected: %v", err)
 	}
 }
 
@@ -187,7 +188,7 @@ func TestCheckpointExtensionsRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	g := richGraph()
 	vs := crashViews()
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -256,7 +257,7 @@ func TestMmapLoad(t *testing.T) {
 	}
 	g := richGraph()
 	vs := crashViews()
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 	for _, backend := range []struct {
 		name string
 		r    graph.Reader
@@ -396,7 +397,7 @@ func replayReflectedTail(t *testing.T, batches [][]view.EdgeUpdate) (*view.Maint
 			}
 		}
 	}
-	x := view.Materialize(g, vs)
+	x, _ := view.Materialize(context.Background(), g, vs, 1)
 
 	s, err := Open(dir, Options{})
 	if err != nil {
@@ -464,7 +465,8 @@ func TestReplayReflectedTailIdempotent(t *testing.T) {
 	if m.Stats.Recomputes != 0 {
 		t.Fatalf("no-op replay rematerialized %d views", m.Stats.Recomputes)
 	}
-	requireSameExtensions(t, got, view.Materialize(m.G, vs))
+	want, _ := view.Materialize(context.Background(), m.G, vs, 1)
+	requireSameExtensions(t, got, want)
 }
 
 // TestReplayReflectedTailWithReversal: when the reflected suffix
@@ -482,5 +484,6 @@ func TestReplayReflectedTailWithReversal(t *testing.T) {
 	if !reflect.DeepEqual(graph.Freeze(m.G), frozenBefore) {
 		t.Fatal("replay with a reversal did not restore the checkpointed graph")
 	}
-	requireSameExtensions(t, m.SnapshotExtensions(), view.Materialize(m.G, vs))
+	want, _ := view.Materialize(context.Background(), m.G, vs, 1)
+	requireSameExtensions(t, m.SnapshotExtensions(), want)
 }

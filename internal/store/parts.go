@@ -1,10 +1,9 @@
 package store
 
-// Aligned section codec for the per-shard checkpoint part files. The
-// single-file GVSNAP01 codec (snapshot.go) streams byte-packed frames;
-// part files instead keep every payload 8-byte aligned so a file mapped
-// into memory can hand its integer columns straight to the graph
-// backends without copying (see loadManifestGraph and mmap_unix.go):
+// Aligned section codec for the per-shard checkpoint part files. Every
+// payload is kept 8-byte aligned so a file mapped into memory can hand
+// its integer columns straight to the graph backends without copying
+// (see loadManifestGraph and mmap_unix.go):
 //
 //	header (24 bytes):
 //	  magic "GVPART01" | format u32 LE | role u8 | pad u8[3] | seq u64 LE
@@ -41,14 +40,19 @@ const (
 	roleExts   = 3 // materialized view extensions
 )
 
+// maxSectionBytes caps one section payload, rejecting absurd corrupted
+// lengths before any allocation happens (2 GiB bounds a single column
+// at half a billion edges — far past serving scale).
+const maxSectionBytes = 1 << 31
+
 // partHeaderLen and partSecLen are the fixed framing sizes.
 const (
 	partHeaderLen = 24
 	partSecLen    = 24
 )
 
-// Part section tags. Global and shard parts reuse the column vocabulary
-// of the GVSNAP01 codec; extension parts have their own block tags.
+// Part section tags. Global and shard parts carry the graph backends'
+// columns; extension parts have their own block tags.
 const (
 	ptagLabels    = 1  // strings: interner names, id order
 	ptagCatKeys   = 2  // strings: categorical attribute keys, sorted

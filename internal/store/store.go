@@ -5,12 +5,11 @@ package store
 // files, manifest.go) and one write-ahead log (wal.log). The lifecycle
 // is
 //
-//	Open        — load the committed manifest (or migrate a legacy
-//	              single-file current.snap checkpoint), collect any
-//	              garbage a crashed checkpoint left behind, scan the
-//	              WAL, truncate any torn tail, and hand back the base
-//	              graph, its serialized view extensions and the tail of
-//	              update batches to replay;
+//	Open        — load the committed manifest, collect any garbage a
+//	              crashed checkpoint left behind, scan the WAL,
+//	              truncate any torn tail, and hand back the base graph,
+//	              its serialized view extensions and the tail of update
+//	              batches to replay;
 //	Append      — log an update batch before the serving layer
 //	              acknowledges it (durability per SyncPolicy), marking
 //	              the batch's shards dirty;
@@ -47,12 +46,11 @@ import (
 	"graphviews/internal/view"
 )
 
-// Data-directory layout. current.snap is the legacy single-file
-// snapshot (GVSNAP01, snapshot.go): still read at Open for migration,
-// never written anymore, removed by the first manifest checkpoint.
+// Data-directory layout. current.snap is the retired single-file
+// snapshot format (GVSNAP01): never read or written, collected once a
+// manifest exists, and refused by Open without one (see Open).
 const (
 	snapName = "current.snap"
-	snapTmp  = "current.snap.tmp"
 	walName  = "wal.log"
 )
 
@@ -125,34 +123,30 @@ type Store struct {
 }
 
 // Open opens (creating if needed) the data directory: loads the
-// committed checkpoint when one exists (manifest layout first, legacy
-// current.snap as migration fallback), removes leftovers of crashed
+// committed checkpoint when one exists, removes leftovers of crashed
 // checkpoints — half-written temporaries and unreferenced part files —
 // fsyncing the directory after any removal, and scans the WAL,
 // truncating a torn or corrupted tail at the first bad frame. The
 // returned store exposes the checkpoint via Base/BaseExtensions and
 // the replayable update batches via Tail.
+//
+// A directory holding a GVSNAP01 current.snap and no MANIFEST is an
+// error, not a fresh directory: booting it empty and replaying the WAL
+// onto the empty graph would silently lose the checkpointed state.
 func Open(dir string, opts Options) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
 	s := &Store{dir: dir, opts: opts, dirty: make(map[int]struct{})}
-	// Leftover temporaries mean a checkpoint crashed before its rename;
-	// the committed manifest (or legacy snapshot) is still authoritative.
-	// The removals are fsynced so a later crash cannot resurrect them.
-	removed := 0
-	for _, name := range []string{snapTmp, manifestTmp} {
-		err := os.Remove(filepath.Join(dir, name))
-		if err == nil {
-			removed++
-		} else if !os.IsNotExist(err) {
-			return nil, err
-		}
-	}
-	if removed > 0 {
+	// A leftover temporary means a checkpoint crashed before its rename;
+	// the committed manifest is still authoritative. The removal is
+	// fsynced so a later crash cannot resurrect it.
+	if err := os.Remove(filepath.Join(dir, manifestTmp)); err == nil {
 		if err := syncDir(dir); err != nil {
 			return nil, err
 		}
+	} else if !os.IsNotExist(err) {
+		return nil, err
 	}
 
 	maniPath := filepath.Join(dir, manifestName)
@@ -168,26 +162,17 @@ func Open(dir string, opts Options) (*Store, error) {
 		s.base, s.baseVersion, s.baseExts = g, m.version, exts
 		s.man = m
 		// Orphaned parts from a checkpoint that crashed mid-write (and a
-		// legacy snapshot already superseded by a manifest) are garbage.
+		// retired current.snap superseded by a manifest) are garbage.
 		if err := s.gc(m, true); err != nil {
 			return nil, err
 		}
 	} else if !os.IsNotExist(err) {
 		return nil, err
 	} else {
-		// Migration: no manifest, but a legacy single-file snapshot. Load
-		// it; the first checkpoint writes the manifest layout in full and
-		// collects current.snap.
 		snapPath := filepath.Join(dir, snapName)
-		if f, err := os.Open(snapPath); err == nil {
-			g, version, lerr := Load(f)
-			if cerr := f.Close(); lerr == nil {
-				lerr = cerr
-			}
-			if lerr != nil {
-				return nil, fmt.Errorf("%s: %w", snapPath, lerr)
-			}
-			s.base, s.baseVersion = g, version
+		if _, err := os.Stat(snapPath); err == nil {
+			return nil, fmt.Errorf("store: %s is a single-file GVSNAP01 checkpoint, which this build no longer reads; "+
+				"open the directory once with a build that still migrates GVSNAP01 to the MANIFEST layout, then retry", snapPath)
 		} else if !os.IsNotExist(err) {
 			return nil, err
 		}
@@ -395,7 +380,7 @@ func (s *Store) Checkpoint(g graph.Reader, x *view.Extensions, version uint64) e
 
 // gc removes every file the committed manifest does not reference:
 // superseded part files, orphans of crashed checkpoints and — once a
-// manifest exists — the migrated legacy snapshot. Only names the store
+// manifest exists — a retired current.snap. Only names the store
 // itself writes are touched. With strict set, removal errors are
 // returned (Open's consistency pass); otherwise collection is
 // best-effort (a post-commit checkpoint must not fail over garbage).

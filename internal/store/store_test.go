@@ -10,6 +10,32 @@ import (
 	"graphviews/internal/view"
 )
 
+// richGraph builds a graph exercising every serialized column: several
+// labels, integer and categorical attributes, nodes with no attributes,
+// and enough edges that sharding produces boundary arrays.
+func richGraph() *graph.Graph {
+	g := graph.New()
+	labels := []string{"person", "site", "item", "tag"}
+	for i := 0; i < 40; i++ {
+		v := g.AddNode(labels[i%len(labels)])
+		if i%3 == 0 {
+			g.SetAttr(v, "age", int64(20+i))
+		}
+		if i%5 == 0 {
+			g.SetAttrString(v, "city", []string{"oslo", "lima", "pune"}[i%3])
+		}
+	}
+	for i := 0; i < 40; i++ {
+		u := graph.NodeID(i)
+		g.AddEdge(u, graph.NodeID((i+1)%40))
+		g.AddEdge(u, graph.NodeID((i*7+3)%40))
+		if i%4 == 0 {
+			g.AddEdge(u, graph.NodeID((i*13+5)%40))
+		}
+	}
+	return g
+}
+
 // TestStoreFreshDir: opening an empty directory yields no base and an
 // empty tail, and creates the layout.
 func TestStoreFreshDir(t *testing.T) {
@@ -105,8 +131,8 @@ func TestStoreCheckpointSharded(t *testing.T) {
 	}
 }
 
-// TestStoreStaleTmpRemoved: a temporary snapshot left by a checkpoint
-// that crashed before its rename is discarded; the real snapshot wins.
+// TestStoreStaleTmpRemoved: a temporary manifest left by a checkpoint
+// that crashed before its rename is discarded; the committed one wins.
 func TestStoreStaleTmpRemoved(t *testing.T) {
 	dir := t.TempDir()
 	s, err := Open(dir, Options{})
@@ -118,7 +144,7 @@ func TestStoreStaleTmpRemoved(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Close()
-	tmp := filepath.Join(dir, "current.snap.tmp")
+	tmp := filepath.Join(dir, manifestTmp)
 	if err := os.WriteFile(tmp, []byte("half-written checkpoint"), 0o644); err != nil {
 		t.Fatal(err)
 	}

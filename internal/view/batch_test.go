@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -16,7 +17,7 @@ func TestApplyBatchEquivalence(t *testing.T) {
 	for trial := 0; trial < 12; trial++ {
 		g := randomGraph(rng, 10+rng.Intn(8), labels)
 		vs := randomViewSet(rng, labels)
-		m := NewMaintained(g.Clone(), vs)
+		m, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
 		shadow := g.Clone()
 
 		for round := 0; round < 4; round++ {
@@ -35,7 +36,7 @@ func TestApplyBatchEquivalence(t *testing.T) {
 				}
 			}
 			m.ApplyBatch(batch)
-			fresh := Materialize(shadow, vs)
+			fresh, _ := Materialize(context.Background(), shadow, vs, 1)
 			for i := range fresh.Exts {
 				if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					t.Fatalf("trial %d round %d: view %d diverged after batch",
@@ -56,7 +57,7 @@ func TestApplyBatchDeletionsOnly(t *testing.T) {
 	g.AddEdge(a, b2)
 
 	vs := randomViewSetSingleEdge()
-	m := NewMaintained(g, vs)
+	m, _ := NewMaintained(context.Background(), g, vs, 1)
 	if m.X.Exts[0].Result.Size() != 2 {
 		t.Fatalf("initial size = %d", m.X.Exts[0].Result.Size())
 	}
@@ -81,7 +82,7 @@ func TestApplyBatchNoop(t *testing.T) {
 	a := g.AddNode("A")
 	g.AddNode("B")
 	vs := randomViewSetSingleEdge()
-	m := NewMaintained(g, vs)
+	m, _ := NewMaintained(context.Background(), g, vs, 1)
 	before := m.X.Exts[0]
 	if n := m.ApplyBatch(nil); n != 0 {
 		t.Fatalf("empty batch applied %d", n)

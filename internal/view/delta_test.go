@@ -8,6 +8,7 @@ package view
 // several worker counts.
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestInsertDeltaPropagation(t *testing.T) {
 	g.AddEdge(a1, b1)
 
 	vs := NewSet(Define("v", patternAB()))
-	m := NewMaintained(g, vs)
+	m, _ := NewMaintained(context.Background(), g, vs, 1)
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatal("view must match initially")
 	}
@@ -81,7 +82,7 @@ func TestInsertDeltaPropagation(t *testing.T) {
 	if m.Stats.AffectedPairs == 0 {
 		t.Fatalf("AffectedPairs = 0, want > 0 after a growing insertion")
 	}
-	fresh := Materialize(m.G, vs)
+	fresh, _ := Materialize(context.Background(), m.G, vs, 1)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("delta propagation diverged from rematerialization")
 	}
@@ -111,7 +112,7 @@ func TestBoundedInsertRelevance(t *testing.T) {
 	p := pattern.New("ab2")
 	p.AddBoundedEdge(p.AddNode("a", "A"), p.AddNode("b", "B"), 2)
 	vs := NewSet(Define("v", p))
-	m := NewMaintained(g, vs)
+	m, _ := NewMaintained(context.Background(), g, vs, 1)
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatal("bounded view must match initially")
 	}
@@ -144,7 +145,7 @@ func TestBoundedInsertRelevance(t *testing.T) {
 	if m.Stats.DeltaProps == 0 {
 		t.Fatalf("relevant bounded insertion did not propagate: %+v", m.Stats)
 	}
-	fresh := Materialize(m.G, vs)
+	fresh, _ := Materialize(context.Background(), m.G, vs, 1)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("bounded delta propagation diverged from rematerialization")
 	}
@@ -154,7 +155,7 @@ func TestBoundedInsertRelevance(t *testing.T) {
 	if !m.InsertEdge(a, b) {
 		t.Fatal("insert failed")
 	}
-	fresh = Materialize(m.G, vs)
+	fresh, _ = Materialize(context.Background(), m.G, vs, 1)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("distance shortening diverged from rematerialization")
 	}
@@ -173,7 +174,7 @@ func TestFeedCoalescesAndFlushes(t *testing.T) {
 	b2 := g.AddNode("B")
 	g.AddEdge(a, b1)
 	vs := NewSet(Define("v", patternAB()))
-	m := NewMaintained(g, vs)
+	m, _ := NewMaintained(context.Background(), g, vs, 1)
 	f := NewFeed(m)
 
 	if n := f.Submit(EdgeUpdate{From: a, To: b2}); n != 1 {
@@ -200,7 +201,7 @@ func TestFeedCoalescesAndFlushes(t *testing.T) {
 	if m.Stats.Batches != 1 || m.Version() != 1 {
 		t.Fatalf("one flush must commit one batch: %+v version=%d", m.Stats, m.Version())
 	}
-	fresh := Materialize(m.G, vs)
+	fresh, _ := Materialize(context.Background(), m.G, vs, 1)
 	if !m.X.Exts[0].Result.Equal(fresh.Exts[0].Result) {
 		t.Fatal("feed flush diverged from rematerialization")
 	}
@@ -217,8 +218,8 @@ func TestForceRematerializeBaseline(t *testing.T) {
 	rng := rand.New(rand.NewSource(193))
 	g := randomGraph(rng, 12, labels)
 	vs := randomViewSet(rng, labels)
-	delta := NewMaintained(g.Clone(), vs)
-	remat := NewMaintained(g.Clone(), vs)
+	delta, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
+	remat, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
 	remat.SetForceRematerialize(true)
 
 	for step := 0; step < 20; step++ {
@@ -308,7 +309,7 @@ func TestAdversarialDeltaStreams(t *testing.T) {
 				for trial := 0; trial < 4; trial++ {
 					g := randomGraph(rng, 10+rng.Intn(6), labels)
 					vs := randomViewSet(rng, labels)
-					m := NewMaintained(g.Clone(), vs)
+					m, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
 					m.SetParallelism(workers)
 					shadow := g.Clone()
 
@@ -322,12 +323,13 @@ func TestAdversarialDeltaStreams(t *testing.T) {
 								shadow.AddEdge(up.From, up.To)
 							}
 						}
-						oracles := map[string]*Extensions{
-							"mutable": Materialize(shadow, vs),
-							"frozen":  Materialize(graph.Freeze(shadow), vs),
-							"sharded": Materialize(graph.Shard(shadow, 3), vs),
+						oracles := map[string]graph.Reader{
+							"mutable": shadow,
+							"frozen":  graph.Freeze(shadow),
+							"sharded": graph.Shard(shadow, 3),
 						}
-						for backend, fresh := range oracles {
+						for backend, r := range oracles {
+							fresh, _ := Materialize(context.Background(), r, vs, 1)
 							for i := range fresh.Exts {
 								if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 									t.Fatalf("%s/workers=%d trial %d round %d: view %d diverged vs %s oracle",

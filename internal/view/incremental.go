@@ -190,19 +190,13 @@ func (m *Maintained) SnapshotExtensions() *Extensions {
 	return &Extensions{Set: m.X.Set, Exts: append([]*Extension(nil), m.X.Exts...)}
 }
 
-// NewMaintained materializes s over g and starts tracking updates.
-func NewMaintained(g *graph.Graph, s *Set) *Maintained {
-	m, _ := NewMaintainedWith(context.Background(), g, s, 1)
-	return m
-}
-
-// NewMaintainedWith is NewMaintained with a worker pool: both the initial
-// materialization and every per-view refresh under updates fan out over
-// up to workers goroutines. ctx bounds only the initial materialization;
-// later refreshes always run to completion so the extensions never fall
-// out of sync with the already-mutated graph.
-func NewMaintainedWith(ctx context.Context, g *graph.Graph, s *Set, workers int) (*Maintained, error) {
-	x, err := MaterializeWith(ctx, g, s, workers)
+// NewMaintained materializes s over g and starts tracking updates. Both
+// the initial materialization and every per-view refresh under updates
+// fan out over up to workers goroutines. ctx bounds only the initial
+// materialization; later refreshes always run to completion so the
+// extensions never fall out of sync with the already-mutated graph.
+func NewMaintained(ctx context.Context, g *graph.Graph, s *Set, workers int) (*Maintained, error) {
+	x, err := Materialize(ctx, g, s, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +428,7 @@ func (m *Maintained) propagate(i int, relevant bool, aff *affectedArea, anyDelet
 			return viewOutcome{kind: outcomeSkip}
 		}
 		if m.forceRemat {
-			m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(m.G, p)}
+			m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(context.Background(), m.G, p, 1)}
 			return viewOutcome{kind: outcomeRecompute}
 		}
 		var res *simulation.Result
@@ -449,7 +443,7 @@ func (m *Maintained) propagate(i int, relevant bool, aff *affectedArea, anyDelet
 	if m.forceRemat || !old.Matched {
 		// No previous sim sets to grow from (an unmatched result stores
 		// empty ones): full simulation is the only sound move.
-		m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(m.G, p)}
+		m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(context.Background(), m.G, p, 1)}
 		return viewOutcome{kind: outcomeRecompute}
 	}
 	seeds, added := growSeeds(m.G, p, mi, old, aff)

@@ -2,6 +2,7 @@ package view
 
 import (
 	"bytes"
+	"context"
 	"math/rand"
 	"strings"
 	"testing"
@@ -9,7 +10,7 @@ import (
 
 func TestExtensionsRoundTrip(t *testing.T) {
 	g, vs := fig1()
-	x := Materialize(g, vs)
+	x, _ := Materialize(context.Background(), g, vs, 1)
 	var buf bytes.Buffer
 	if err := WriteExtensions(&buf, x); err != nil {
 		t.Fatalf("WriteExtensions: %v", err)
@@ -47,7 +48,7 @@ func TestExtensionsRoundTrip(t *testing.T) {
 func TestExtensionsUnmatchedRoundTrip(t *testing.T) {
 	g := randomGraph(rand.New(rand.NewSource(1)), 5, []string{"A"}) // only A labels
 	_, vs := fig1()                                                 // PM/DBA/PRG views: no matches
-	x := Materialize(g, vs)
+	x, _ := Materialize(context.Background(), g, vs, 1)
 	var buf bytes.Buffer
 	if err := WriteExtensions(&buf, x); err != nil {
 		t.Fatalf("WriteExtensions: %v", err)

@@ -6,6 +6,7 @@ package view
 // builds on.
 
 import (
+	"context"
 	"testing"
 
 	"graphviews/internal/graph"
@@ -20,7 +21,8 @@ func publishFixture(t *testing.T) (*graph.Graph, *Maintained) {
 	g.AddNode("B")
 	g.AddNode("B")
 	g.AddEdge(0, 2)
-	return g, NewMaintained(g, NewSet(Define("v", patternAB())))
+	m, _ := NewMaintained(context.Background(), g, NewSet(Define("v", patternAB())), 1)
+	return g, m
 }
 
 // TestVersionCountsEffectiveUpdates: the write clock moves only on

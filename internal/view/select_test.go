@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -63,7 +64,7 @@ func TestMaterializeDualDirect(t *testing.T) {
 	g.AddEdge(a, b)
 	p := pattern.New("v")
 	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
-	x := MaterializeDual(g, NewSet(Define("", p)))
+	x, _ := MaterializeDual(context.Background(), g, NewSet(Define("", p)), 1)
 	if x.TotalEdges() != 1 {
 		t.Fatalf("dual extension size = %d", x.TotalEdges())
 	}
@@ -74,7 +75,7 @@ func TestMaterializeDualDirect(t *testing.T) {
 
 func TestExtensionsSubsetDirect(t *testing.T) {
 	g, vs := fig1()
-	x := Materialize(g, vs)
+	x, _ := Materialize(context.Background(), g, vs, 1)
 	sub := x.Subset([]int{1})
 	if sub.Set.Card() != 1 || sub.Set.Defs[0].Name != "V2" {
 		t.Fatalf("Subset wrong: %v", sub.Set.Defs)

@@ -97,33 +97,19 @@ type Extensions struct {
 // simulation. Extension match sets record exact shortest path lengths,
 // which provide the distance index I(V) for answering bounded queries
 // (Section VI-A).
-func Materialize(g graph.Reader, s *Set) *Extensions {
-	x, _ := MaterializeWith(context.Background(), g, s, 1)
-	return x
-}
-
-// MaterializeWith is Materialize with a worker pool: each view is
-// simulated by one task, and when views are fewer than workers the
-// leftover parallelism flows into each bounded view's match-set
-// enumeration (the distance-index construction). The outer tasks and
-// inner enumeration goroutines together never exceed the requested
-// worker bound. Results are identical to the sequential engine at every
-// worker count. It returns ctx.Err() when cancelled before all views
-// finish.
-func MaterializeWith(ctx context.Context, g graph.Reader, s *Set, workers int) (*Extensions, error) {
-	return MaterializePooled(ctx, g, s, workers, nil)
-}
-
-// MaterializePooled is MaterializeWith with each view's simulation
-// working state drawn from pool: every worker task checks a Scratch out
-// for the duration of its view and returns it, so a warmed pool
-// materializes repeatedly without allocating fixpoint state. Candidate
-// seeding — the predicate scan over the label partitions, the hottest
-// phase of materialization — runs once per distinct node condition
-// across the whole view family instead of once per occurrence
-// (simulation.CandidateSeeds). A nil pool uses transient scratches.
-// Results never alias pool memory.
-func MaterializePooled(ctx context.Context, g graph.Reader, s *Set, workers int, pool *simulation.ScratchPool) (*Extensions, error) {
+//
+// Each view is simulated by one task of a workers-wide pool, and when
+// views are fewer than workers the leftover parallelism flows into each
+// bounded view's match-set enumeration (the distance-index
+// construction). The outer tasks and inner enumeration goroutines
+// together never exceed the requested worker bound. Candidate seeding —
+// the predicate scan over the label partitions, the hottest phase of
+// materialization — runs once per distinct node condition across the
+// whole view family instead of once per occurrence
+// (simulation.CandidateSeeds). Results are identical at every worker
+// count and never alias scratch memory. It returns ctx.Err() when
+// cancelled before all views finish.
+func Materialize(ctx context.Context, g graph.Reader, s *Set, workers int) (*Extensions, error) {
 	exts := make([]*Extension, len(s.Defs))
 	w := par.Workers(workers)
 	inner := 1
@@ -137,7 +123,7 @@ func MaterializePooled(ctx context.Context, g graph.Reader, s *Set, workers int,
 	seeds := simulation.CandidateSeeds(ctx, g, pats, w, true)
 	err := par.ForEach(ctx, w, len(s.Defs), func(i int) {
 		d := s.Defs[i]
-		exts[i] = &Extension{Def: d, Result: simulation.SimulateFromSeeds(ctx, g, d.Pattern, seeds[i], inner, pool)}
+		exts[i] = &Extension{Def: d, Result: simulation.SimulateFromSeeds(ctx, g, d.Pattern, seeds[i], inner)}
 	})
 	if err != nil {
 		return nil, err
@@ -146,23 +132,11 @@ func MaterializePooled(ctx context.Context, g graph.Reader, s *Set, workers int,
 }
 
 // MaterializeDual evaluates every view under dual simulation (the
-// Section VIII extension); pair distances are all 1. Use with
-// core.DualContain / core.DualMatchJoin.
-func MaterializeDual(g graph.Reader, s *Set) *Extensions {
-	x, _ := MaterializeDualWith(context.Background(), g, s, 1)
-	return x
-}
-
-// MaterializeDualWith is MaterializeDual over a worker pool, one view per
-// task.
-func MaterializeDualWith(ctx context.Context, g graph.Reader, s *Set, workers int) (*Extensions, error) {
-	return MaterializeDualPooled(ctx, g, s, workers, nil)
-}
-
-// MaterializeDualPooled is MaterializeDualWith over a scratch pool with
-// family-wide candidate memoization; see MaterializePooled. Dual
-// candidates never apply the out-degree prune.
-func MaterializeDualPooled(ctx context.Context, g graph.Reader, s *Set, workers int, pool *simulation.ScratchPool) (*Extensions, error) {
+// Section VIII extension), one view per task of a workers-wide pool,
+// with the same family-wide candidate memoization as Materialize; dual
+// candidates never apply the out-degree prune. Pair distances are all 1.
+// Use with core.DualContain / core.DualMatchJoin.
+func MaterializeDual(ctx context.Context, g graph.Reader, s *Set, workers int) (*Extensions, error) {
 	exts := make([]*Extension, len(s.Defs))
 	pats := make([]*pattern.Pattern, len(s.Defs))
 	for i, d := range s.Defs {
@@ -171,7 +145,7 @@ func MaterializeDualPooled(ctx context.Context, g graph.Reader, s *Set, workers 
 	seeds := simulation.CandidateSeeds(ctx, g, pats, workers, false)
 	err := par.ForEach(ctx, workers, len(s.Defs), func(i int) {
 		d := s.Defs[i]
-		exts[i] = &Extension{Def: d, Result: simulation.SimulateDualFromSeeds(g, d.Pattern, seeds[i], pool)}
+		exts[i] = &Extension{Def: d, Result: simulation.SimulateDualFromSeeds(g, d.Pattern, seeds[i])}
 	})
 	if err != nil {
 		return nil, err
@@ -216,16 +190,11 @@ type DistIndex struct {
 
 // BuildDistIndex collects every pair of every extension, keeping the
 // minimum distance when several views share a pair. Its size is bounded
-// by |V(G)| as the paper notes.
-func BuildDistIndex(x *Extensions) *DistIndex {
-	idx, _ := BuildDistIndexWith(context.Background(), x, 1)
-	return idx
-}
-
-// BuildDistIndexWith builds I(V) with per-extension index maps computed
-// concurrently, then merged keeping minimum distances. The merged map is
-// identical to BuildDistIndex's regardless of worker count.
-func BuildDistIndexWith(ctx context.Context, x *Extensions, workers int) (*DistIndex, error) {
+// by |V(G)| as the paper notes. Per-extension index maps are computed
+// concurrently over up to workers goroutines, then merged keeping
+// minimum distances, so the merged map is identical at every worker
+// count.
+func BuildDistIndex(ctx context.Context, x *Extensions, workers int) (*DistIndex, error) {
 	parts := make([]map[simulation.Pair]int32, len(x.Exts))
 	err := par.ForEach(ctx, workers, len(x.Exts), func(i int) {
 		m := make(map[simulation.Pair]int32)

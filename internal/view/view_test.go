@@ -1,6 +1,7 @@
 package view
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -44,7 +45,7 @@ func TestFig1ViewExtensions(t *testing.T) {
 	if err := vs.Validate(); err != nil {
 		t.Fatalf("Validate: %v", err)
 	}
-	x := Materialize(g, vs)
+	x, _ := Materialize(context.Background(), g, vs, 1)
 
 	v1 := x.Exts[0].Result
 	if !v1.Matched {
@@ -119,8 +120,8 @@ func TestDistIndex(t *testing.T) {
 	pa := vp.AddNode("a", "A")
 	pb := vp.AddNode("b", "B")
 	vp.AddBoundedEdge(pa, pb, 2)
-	xts := Materialize(g, NewSet(Define("", vp)))
-	idx := BuildDistIndex(xts)
+	xts, _ := Materialize(context.Background(), g, NewSet(Define("", vp)), 1)
+	idx, _ := BuildDistIndex(context.Background(), xts, 1)
 	if idx.Len() != 1 {
 		t.Fatalf("index size = %d", idx.Len())
 	}
@@ -144,8 +145,8 @@ func TestDistIndexKeepsMinimum(t *testing.T) {
 	v1.AddEdge(v1.AddNode("a", "A"), v1.AddNode("b", "B"))
 	v2 := pattern.New("v2")
 	v2.AddBoundedEdge(v2.AddNode("a", "A"), v2.AddNode("b", "B"), 3)
-	xts := Materialize(g, NewSet(Define("", v1), Define("", v2)))
-	idx := BuildDistIndex(xts)
+	xts, _ := Materialize(context.Background(), g, NewSet(Define("", v1), Define("", v2)), 1)
+	idx, _ := BuildDistIndex(context.Background(), xts, 1)
 	if d := idx.Dist(a, b); d != 1 {
 		t.Fatalf("Dist = %d, want 1", d)
 	}
@@ -196,7 +197,7 @@ func TestMaintainedEquivalence(t *testing.T) {
 	for trial := 0; trial < 15; trial++ {
 		g := randomGraph(rng, 8+rng.Intn(8), labels)
 		vs := randomViewSet(rng, labels)
-		m := NewMaintained(g.Clone(), vs)
+		m, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
 		shadow := g.Clone()
 
 		for step := 0; step < 30; step++ {
@@ -212,7 +213,7 @@ func TestMaintainedEquivalence(t *testing.T) {
 			if step%10 != 9 {
 				continue // compare every 10 steps to keep the test fast
 			}
-			fresh := Materialize(shadow, vs)
+			fresh, _ := Materialize(context.Background(), shadow, vs, 1)
 			for i := range fresh.Exts {
 				if !m.X.Exts[i].Result.Equal(fresh.Exts[i].Result) {
 					t.Fatalf("trial %d step %d: view %d diverged\nmaintained: %v\nfresh: %v",
@@ -234,7 +235,7 @@ func TestMaintainedFastPaths(t *testing.T) {
 
 	p := pattern.New("v")
 	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
-	m := NewMaintained(g, NewSet(Define("", p)))
+	m, _ := NewMaintained(context.Background(), g, NewSet(Define("", p)), 1)
 	before := m.X.Exts[0]
 
 	if !m.InsertEdge(b, c) { // B->C: no pattern edge has (B,C) endpoints
@@ -264,7 +265,7 @@ func TestMaintainedDeleteBreaksMatch(t *testing.T) {
 	g.AddEdge(a, b)
 	p := pattern.New("v")
 	p.AddEdge(p.AddNode("a", "A"), p.AddNode("b", "B"))
-	m := NewMaintained(g, NewSet(Define("", p)))
+	m, _ := NewMaintained(context.Background(), g, NewSet(Define("", p)), 1)
 	if !m.X.Exts[0].Result.Matched {
 		t.Fatalf("should match initially")
 	}
