@@ -8,9 +8,9 @@ package graphviews_test
 // objects per query. These tests pin the steady state so a regression
 // that reintroduces per-call working-state allocation fails loudly.
 //
-// The bounds are deliberately loose (≥2× headroom over measured values,
-// which are documented in README.md §Performance alongside the
-// `-benchmem` numbers in BENCH_PR4.json) — they exist to catch
+// The bounds are deliberately loose (≥2× headroom over the measured
+// values documented in README.md §Performance, which `make bench`
+// reproduces with -benchmem) — they exist to catch
 // order-of-magnitude regressions, not to freeze exact counts. Skipped
 // under -race: the race runtime changes allocation behavior.
 

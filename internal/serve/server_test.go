@@ -472,42 +472,34 @@ func TestPublishAfterCountsBufferedDeltas(t *testing.T) {
 	}
 }
 
-// TestMaintenanceMetricsExposition drives updates through both
-// maintenance modes and checks the gvserve_maintenance_* series.
+// TestMaintenanceMetricsExposition drives an update through delta
+// maintenance and checks the gvserve_maintenance_* series.
 func TestMaintenanceMetricsExposition(t *testing.T) {
-	for _, mode := range []struct {
-		name  string
-		remat bool
-		want  string
-	}{
-		{"delta", false, "gvserve_maintenance_delta_total 1"},
-		{"remat", true, "gvserve_maintenance_recompute_total 1"},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
-			_, hs, _ := newTestServer(t, Config{Rematerialize: mode.remat})
-			resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader("add 1 5\n"))
-			if err != nil {
-				t.Fatal(err)
+	t.Run("delta", func(t *testing.T) {
+		_, hs, _ := newTestServer(t, Config{})
+		resp, err := http.Post(hs.URL+"/update", "text/plain", strings.NewReader("add 1 5\n"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		resp, err = http.Get(hs.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text := readAll(t, resp)
+		for _, want := range []string{
+			"gvserve_maintenance_delta_total 1",
+			"gvserve_maintenance_recompute_total 0",
+			"gvserve_maintenance_batches_total 1",
+			"gvserve_feed_backlog 0",
+			"gvserve_maintenance_coalesced_total 0",
+		} {
+			if !strings.Contains(text, want) {
+				t.Fatalf("metrics missing %q in:\n%s", want, text)
 			}
-			resp.Body.Close()
-			resp, err = http.Get(hs.URL + "/metrics")
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer resp.Body.Close()
-			text := readAll(t, resp)
-			for _, want := range []string{
-				mode.want,
-				"gvserve_maintenance_batches_total 1",
-				"gvserve_feed_backlog 0",
-				"gvserve_maintenance_coalesced_total 0",
-			} {
-				if !strings.Contains(text, want) {
-					t.Fatalf("metrics missing %q in:\n%s", want, text)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // readAll drains a response body as a string.

@@ -211,40 +211,6 @@ func TestFeedCoalescesAndFlushes(t *testing.T) {
 	}
 }
 
-// TestForceRematerializeBaseline: the benchmark baseline mode must
-// produce identical extensions while taking the recompute path.
-func TestForceRematerializeBaseline(t *testing.T) {
-	labels := []string{"A", "B", "C"}
-	rng := rand.New(rand.NewSource(193))
-	g := randomGraph(rng, 12, labels)
-	vs := randomViewSet(rng, labels)
-	delta, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
-	remat, _ := NewMaintained(context.Background(), g.Clone(), vs, 1)
-	remat.SetForceRematerialize(true)
-
-	for step := 0; step < 20; step++ {
-		up := EdgeUpdate{
-			From:   graph.NodeID(rng.Intn(g.NumNodes())),
-			To:     graph.NodeID(rng.Intn(g.NumNodes())),
-			Delete: rng.Intn(3) == 0,
-		}
-		delta.ApplyBatch([]EdgeUpdate{up})
-		remat.ApplyBatch([]EdgeUpdate{up})
-		for i := range delta.X.Exts {
-			if !delta.X.Exts[i].Result.Equal(remat.X.Exts[i].Result) {
-				t.Fatalf("step %d: delta and remat extensions diverged", step)
-			}
-		}
-	}
-	if remat.Stats.DeltaProps != 0 {
-		t.Fatalf("baseline took the delta path: %+v", remat.Stats)
-	}
-	if delta.Stats.Recomputes > remat.Stats.Recomputes {
-		t.Fatalf("delta path recomputed more than the baseline: %+v vs %+v",
-			delta.Stats, remat.Stats)
-	}
-}
-
 // TestAdversarialDeltaStreams is the satellite coverage matrix:
 // insert-heavy, cancel-heavy and interleaved streams × workers {1,4},
 // with maintained extensions checked byte-identical (Result.Equal spans

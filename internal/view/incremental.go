@@ -51,7 +51,7 @@ import (
 type MaintStats struct {
 	// Recomputes counts view extensions rebuilt by full simulation — the
 	// slow path, taken only when a relevant insertion hits a view with no
-	// previous match to grow from (or under SetForceRematerialize).
+	// previous match to grow from.
 	Recomputes int
 	// DeltaProps counts view extensions refreshed by delta propagation:
 	// refinement seeded from the previous sim sets (deletions) or from
@@ -96,10 +96,6 @@ type Maintained struct {
 	// Graph mutation always happens before the fan-out, so workers only
 	// ever read the graph concurrently.
 	workers int
-
-	// forceRemat switches propagation to the rematerialize baseline
-	// (see SetForceRematerialize).
-	forceRemat bool
 
 	// info caches per-view propagation metadata (compiled node
 	// conditions, bounds, affected-area radius); built lazily since
@@ -156,14 +152,6 @@ func (m *Maintained) Version() uint64 { return m.version.Load() }
 // Passing nil removes the hook. Not safe to call concurrently with
 // updates.
 func (m *Maintained) SetPublishHook(fn func(version uint64)) { m.publishHook = fn }
-
-// SetForceRematerialize switches propagation between the delta path
-// (default) and the rematerialize baseline: when on, every relevant view
-// is rebuilt by full simulation, exactly what maintenance did before
-// delta propagation existed. The per-view relevance fast paths still
-// apply. It exists so benchmarks (gvload -maint remat) can measure the
-// delta path against its predecessor on identical update streams.
-func (m *Maintained) SetForceRematerialize(on bool) { m.forceRemat = on }
 
 // commit bumps the write clock by n effective updates and fires the
 // publish hook. Called once per update operation, after refresh.
@@ -427,10 +415,6 @@ func (m *Maintained) propagate(i int, relevant bool, aff *affectedArea, anyDelet
 		if !old.Matched {
 			return viewOutcome{kind: outcomeSkip}
 		}
-		if m.forceRemat {
-			m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(context.Background(), m.G, p, 1)}
-			return viewOutcome{kind: outcomeRecompute}
-		}
 		var res *simulation.Result
 		if mi.plain {
 			res = simulation.SimulateSeeded(m.G, p, old.Sim)
@@ -440,7 +424,7 @@ func (m *Maintained) propagate(i int, relevant bool, aff *affectedArea, anyDelet
 		m.X.Exts[i] = &Extension{Def: ext.Def, Result: res}
 		return viewOutcome{kind: outcomeDelta}
 	}
-	if m.forceRemat || !old.Matched {
+	if !old.Matched {
 		// No previous sim sets to grow from (an unmatched result stores
 		// empty ones): full simulation is the only sound move.
 		m.X.Exts[i] = &Extension{Def: ext.Def, Result: simulation.Simulate(context.Background(), m.G, p, 1)}

@@ -3,8 +3,8 @@ package graphviews_test
 // Sharded-backend benchmarks: the shard sweep of the materialize+answer
 // pipeline (pre-partitioned snapshots, so the split is amortized across
 // iterations the same way the frozen A/B amortizes the freeze) and the
-// O(|V|+|E|) splitter itself. Run via `make bench-sharded`; the sweep is
-// part of the `make bench-json` trajectory (BENCH_PR5.json onward).
+// O(|V|+|E|) splitter itself. Run via `make bench-sharded`; CI runs one
+// iteration of the sweep in its bench-smoke job (`make bench-smoke`).
 
 import (
 	"fmt"
