@@ -16,6 +16,7 @@ package graphviews_test
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 
 	gv "graphviews"
@@ -111,5 +112,47 @@ func TestSteadyStateMatchJoinAllocs(t *testing.T) {
 	const bound = 150
 	if allocs > bound {
 		t.Fatalf("Engine.MatchJoin steady state allocates %.1f objects/op, bound %d", allocs, bound)
+	}
+}
+
+// TestSteadyStateMatchJoinAllocsParallel is the MatchJoin bound at the
+// worker count gvserve runs by default (more than one): the seeding
+// merges fan out and the fixpoint runs by SCC waves, yet every pair
+// buffer is still carved from the scratch arenas before the fan-out, so
+// only the Result and the pool's goroutine bookkeeping reach the heap.
+func TestSteadyStateMatchJoinAllocsParallel(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not comparable under -race")
+	}
+	_, _, vs, q, x := allocWorkload(t)
+	eng := gv.NewEngine(gv.WithParallelism(2))
+	l, ok, err := eng.Contains(q, vs)
+	if err != nil || !ok {
+		t.Fatalf("workload query not contained: %v %v", ok, err)
+	}
+	run := func() {
+		if _, _, err := eng.MatchJoin(q, x, l); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 3; i++ {
+		run()
+	}
+	allocs := testing.AllocsPerRun(20, run)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	const runs = 20
+	for i := 0; i < runs; i++ {
+		run()
+	}
+	runtime.ReadMemStats(&after)
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / runs
+	t.Logf("Engine.MatchJoin steady state at 2 workers: %.1f allocs/op, %.0f B/op", allocs, bytes)
+	const allocBound, byteBound = 250, 100_000
+	if allocs > allocBound {
+		t.Fatalf("Engine.MatchJoin at 2 workers allocates %.1f objects/op, bound %d", allocs, allocBound)
+	}
+	if bytes > byteBound {
+		t.Fatalf("Engine.MatchJoin at 2 workers allocates %.0f B/op, bound %d", bytes, byteBound)
 	}
 }

@@ -295,15 +295,7 @@ func finishDual(q *pattern.Pattern, sets []edgeSet, dstCount [][]int32, nu int, 
 		Edges:   make([]simulation.EdgeMatches, len(q.Edges)),
 	}
 	for qi := range sets {
-		es := &sets[qi]
-		em := &res.Edges[qi]
-		em.Pairs = make([]simulation.Pair, 0, es.nAliv)
-		em.Dists = make([]int32, 0, es.nAliv)
-		es.alive.Iterate(func(i int) bool {
-			em.Pairs = append(em.Pairs, es.pairs[i])
-			em.Dists = append(em.Dists, es.dists[i])
-			return true
-		})
+		copyAlive(&res.Edges[qi], &sets[qi])
 	}
 	for u := range q.Nodes {
 		outs, ins := q.OutEdges(u), q.InEdges(u)

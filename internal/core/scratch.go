@@ -1,16 +1,18 @@
 package core
 
 // Scratch is the reusable working state of the MatchJoin engines: the
-// seeded pair/distance buffers, the per-edge CSR indexes (offset arrays
-// built by counting sort), alive bitsets, support and failure counters,
-// and the kill worklist. Everything is carved from bump arenas reclaimed
+// merged pair/distance buffers, the compressed-id table, the per-edge
+// CSR indexes (offset arrays built by counting sort), alive and
+// source/target bitsets, support and failure counters, and the kill
+// worklist. Everything is carved from bump arenas reclaimed
 // wholesale between queries, so a pooled engine answers repeated queries
 // without allocating working state; only the Result (which outlives the
 // call) is heap-allocated.
 //
-// Arenas are single-goroutine: the parallel seeding and per-SCC cascade
-// phases either read pre-built arrays or allocate from the heap, and all
-// arena draws happen in the sequential phase boundaries between them.
+// Arenas are single-goroutine: the parallel seeding merges write into
+// buffers carved before the fan-out, the per-SCC cascade phases read
+// pre-built arrays or allocate from the heap, and all arena draws happen
+// in the sequential phase boundaries between them.
 
 import (
 	"graphviews/internal/arena"
@@ -31,6 +33,7 @@ type Scratch struct {
 	i32   arena.Arena[int32]
 	words arena.Arena[uint64]
 	pairs arena.Arena[simulation.Pair]
+	ids   arena.Arena[graph.NodeID]
 	kills []kill
 }
 
@@ -39,6 +42,7 @@ func (sc *Scratch) Reset() {
 	sc.i32.Reset()
 	sc.words.Reset()
 	sc.pairs.Reset()
+	sc.ids.Reset()
 }
 
 // bits returns a cleared n-bit set from the word arena.

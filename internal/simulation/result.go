@@ -60,12 +60,10 @@ func (em *EdgeMatches) add(src, dst graph.NodeID, d int32) {
 	em.Dists = append(em.Dists, d)
 }
 
-// Normalize sorts by (Src,Dst) and deduplicates, keeping minimum
+// normalize sorts by (Src,Dst) and deduplicates, keeping minimum
 // distance. Match sets assembled by an ascending scan — the common case,
 // since node match lists and adjacency are both sorted — are detected in
 // one pass and returned untouched, skipping the sort and its copies.
-func (em *EdgeMatches) Normalize() { em.normalize() }
-
 func (em *EdgeMatches) normalize() {
 	if len(em.Pairs) == 0 {
 		return

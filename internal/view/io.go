@@ -65,8 +65,8 @@ func ReadExtensions(r io.Reader, s *Set) (*Extensions, error) {
 	finish := func() {
 		if cur != nil {
 			for ei := range cur.Result.Edges {
-				// Stored sorted; re-normalizing keeps Has/Dist lookups valid
-				// even for hand-edited files.
+				// Stored sorted; re-normalizing keeps the extension
+				// contract even for hand-edited files.
 				sortEdgeMatches(&cur.Result.Edges[ei])
 			}
 		}
@@ -144,7 +144,10 @@ func ReadExtensions(r io.Reader, s *Set) (*Extensions, error) {
 	return x, nil
 }
 
-// sortEdgeMatches restores the sorted-pairs invariant.
+// sortEdgeMatches restores the strictly ascending (Src, Dst) invariant
+// that Has/Dist lookups and MatchJoin's seeding merge rely on: an
+// insertion sort (a stored set is already sorted, so it costs one pass),
+// then repeated pairs collapse to their minimum distance.
 func sortEdgeMatches(em *simulation.EdgeMatches) {
 	n := len(em.Pairs)
 	for i := 1; i < n; i++ {
@@ -157,4 +160,14 @@ func sortEdgeMatches(em *simulation.EdgeMatches) {
 			em.Dists[j-1], em.Dists[j] = em.Dists[j], em.Dists[j-1]
 		}
 	}
+	k := 0
+	for i := 0; i < n; i++ {
+		if k > 0 && em.Pairs[k-1] == em.Pairs[i] {
+			em.Dists[k-1] = min(em.Dists[k-1], em.Dists[i])
+			continue
+		}
+		em.Pairs[k], em.Dists[k] = em.Pairs[i], em.Dists[i]
+		k++
+	}
+	em.Pairs, em.Dists = em.Pairs[:k], em.Dists[:k]
 }

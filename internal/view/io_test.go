@@ -4,8 +4,11 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
+
+	"graphviews/internal/simulation"
 )
 
 func TestExtensionsRoundTrip(t *testing.T) {
@@ -61,6 +64,28 @@ func TestExtensionsUnmatchedRoundTrip(t *testing.T) {
 		if x2.Exts[i].Result.Matched {
 			t.Fatalf("unmatched view became matched")
 		}
+	}
+}
+
+// TestReadExtensionsRestoresStrictOrder: a hand-edited file with pairs
+// out of order and repeated loads as a strictly ascending set, each
+// repeated pair keeping its minimum distance.
+func TestReadExtensionsRestoresStrictOrder(t *testing.T) {
+	_, vs := fig1()
+	in := "view V1 matched=1\n" +
+		"ematch 0 1 7 1\nematch 0 0 5 2\nematch 0 0 2 3\nematch 0 0 5 1\nematch 0 1 7 4\n" +
+		"view V2 matched=0\n"
+	x, err := ReadExtensions(strings.NewReader(in), vs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	em := x.Exts[0].Result.Edges[0]
+	want := simulation.EdgeMatches{
+		Pairs: []simulation.Pair{{Src: 0, Dst: 2}, {Src: 0, Dst: 5}, {Src: 1, Dst: 7}},
+		Dists: []int32{3, 1, 1},
+	}
+	if !reflect.DeepEqual(em, want) {
+		t.Fatalf("loaded %v, want %v", em, want)
 	}
 }
 
